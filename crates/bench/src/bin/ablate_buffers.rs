@@ -23,7 +23,6 @@ struct Point {
 
 fn main() -> Result<(), BenchError> {
     let ex = Experiment::new("ablate_buffers");
-    let threads = ex.threads();
     let (procs, row_len) = if ex.quick() { (64, 64) } else { (256, 256) };
     let pscan = Table3Params {
         n: row_len as u64,
@@ -38,9 +37,7 @@ fn main() -> Result<(), BenchError> {
         .into_par_iter()
         .map(|depth| {
             eprintln!("buffer depth {depth}...");
-            let cfg = MeshConfig::table3(procs, 1)
-                .with_buffers(depth)
-                .with_threads(threads);
+            let cfg = MeshConfig::table3(procs, 1).with_buffers(depth);
             let mut mesh = load_transpose(cfg, procs, row_len);
             if let Some(intr) = &interrupt {
                 mesh.set_interrupt(intr.clone());

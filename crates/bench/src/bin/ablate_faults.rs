@@ -18,12 +18,11 @@ use bench::{f, BenchError, Experiment};
 fn main() -> Result<(), BenchError> {
     let ex = Experiment::new("ablate_faults");
     let quick = ex.quick();
-    let mut spec = if quick {
+    let spec = if quick {
         AblateFaultsSpec::quick()
     } else {
         AblateFaultsSpec::paper()
     };
-    spec.threads = ex.threads();
     let (procs, gathers) = (spec.procs, spec.gathers);
     let interrupt = ex.interrupt();
     // The sweep itself lives in [`bench::jobs`] so the supervised paths

@@ -29,13 +29,11 @@ fn mesh_transpose(
     procs: usize,
     row_len: usize,
     placement: MemifPlacement,
-    threads: usize,
     interrupt: Option<&sim_core::cancel::Interrupt>,
 ) -> Result<u64, emesh::mesh::MeshError> {
     let cfg = MeshConfig::paper_default()
         .with_topology(Topology::square(procs, placement))
-        .with_max_cycles(1 << 34)
-        .with_threads(threads);
+        .with_max_cycles(1 << 34);
     let mut mesh = Mesh::new(cfg);
     if let Some(intr) = interrupt {
         mesh.set_interrupt(intr.clone());
@@ -56,7 +54,6 @@ fn mesh_transpose(
 
 fn main() -> Result<(), BenchError> {
     let ex = Experiment::new("ablate_memports");
-    let threads = ex.threads();
     let (procs, row_len) = if ex.quick() { (64, 64) } else { (256, 256) };
     let t3 = Table3Params {
         n: row_len as u64,
@@ -74,7 +71,7 @@ fn main() -> Result<(), BenchError> {
     .into_par_iter()
     .map(|(ports, placement)| {
         eprintln!("{ports}-port mesh transpose...");
-        let mesh = mesh_transpose(procs, row_len, placement, threads, interrupt.as_ref())?;
+        let mesh = mesh_transpose(procs, row_len, placement, interrupt.as_ref())?;
         // P-sync with `ports` banks: one PSCAN bus per bank, each
         // carrying 1/ports of the transactions in parallel.
         let pscan = pscan_single / ports as u64;

@@ -22,7 +22,6 @@ struct Point {
 
 fn main() -> Result<(), BenchError> {
     let ex = Experiment::new("ablate_routing");
-    let threads = ex.threads();
     let sizes: &[usize] = if ex.quick() { &[64] } else { &[64, 256] };
     let combos: Vec<(usize, &str, RoutingPolicy)> = sizes
         .iter()
@@ -41,9 +40,7 @@ fn main() -> Result<(), BenchError> {
         .map(|(procs, name, policy)| {
             eprintln!("P = {procs}, {name}...");
             let row_len = procs;
-            let cfg = MeshConfig::table3(procs, 1)
-                .with_policy(policy)
-                .with_threads(threads);
+            let cfg = MeshConfig::table3(procs, 1).with_policy(policy);
             let mut mesh = load_transpose(cfg, procs, row_len);
             if let Some(intr) = &interrupt {
                 mesh.set_interrupt(intr.clone());

@@ -21,7 +21,6 @@ struct Point {
 
 fn main() -> Result<(), BenchError> {
     let ex = Experiment::new("ablate_tp");
-    let threads = ex.threads();
     let (procs, row_len) = if ex.quick() { (64, 64) } else { (256, 256) };
     let pscan = Table3Params {
         n: row_len as u64,
@@ -36,7 +35,7 @@ fn main() -> Result<(), BenchError> {
         .into_par_iter()
         .map(|t_p| {
             eprintln!("t_p = {t_p}...");
-            let cfg = MeshConfig::table3(procs, t_p).with_threads(threads);
+            let cfg = MeshConfig::table3(procs, t_p);
             let mut mesh = load_transpose(cfg, procs, row_len);
             if let Some(intr) = &interrupt {
                 mesh.set_interrupt(intr.clone());

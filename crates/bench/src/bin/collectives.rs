@@ -42,7 +42,6 @@ struct Row {
 
 fn main() -> Result<(), BenchError> {
     let ex = Experiment::new("collectives");
-    let threads = ex.threads();
     let (geoms, words) = if ex.quick() {
         (vec![(4, 4, false), (8, 2, false), (4, 4, true)], 4)
     } else {
@@ -57,7 +56,7 @@ fn main() -> Result<(), BenchError> {
             height,
             torus,
             words,
-            threads,
+            threads: 1,
         };
         let geom = spec.topology().label();
         for collective in Collective::ALL {
@@ -68,7 +67,7 @@ fn main() -> Result<(), BenchError> {
             let wall_s = t0.elapsed().as_secs_f64();
             rows.push(Row {
                 policy: format!("collective:{}[mesh,{geom}]", collective.label()),
-                threads,
+                threads: spec.threads,
                 participants: mesh.participants,
                 words,
                 cycles: mesh.cycles,
@@ -87,7 +86,7 @@ fn main() -> Result<(), BenchError> {
                 let wall_s = t0.elapsed().as_secs_f64();
                 rows.push(Row {
                     policy: format!("collective:{}[sca,{}]", collective.label(), sca.geometry),
-                    threads,
+                    threads: spec.threads,
                     participants: sca.participants,
                     words,
                     cycles: sca.cycles,

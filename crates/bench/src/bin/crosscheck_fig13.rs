@@ -26,7 +26,6 @@ struct Point {
 
 fn main() -> Result<(), BenchError> {
     let ex = Experiment::new("crosscheck_fig13");
-    let threads = ex.threads();
     let sizes: &[usize] = if ex.quick() {
         &[16, 64]
     } else {
@@ -51,7 +50,7 @@ fn main() -> Result<(), BenchError> {
             .bus_slots;
 
         // Mesh: real wormhole transpose of the same matrix.
-        let cfg = MeshConfig::table3(procs, 1).with_threads(threads);
+        let cfg = MeshConfig::table3(procs, 1);
         let mut mesh = load_transpose(cfg, procs, n);
         let mesh_reorg = mesh.run().expect("deadlock").cycles;
 

@@ -149,7 +149,7 @@ fn check_table3_pscan(quick: bool, rows_out: &mut Vec<CheckRow>) {
 }
 
 /// Check 3: Eq. 21/22 vs the wormhole mesh scatter.
-fn check_eq21_mesh(quick: bool, threads: usize, rows_out: &mut Vec<CheckRow>) {
+fn check_eq21_mesh(quick: bool, rows_out: &mut Vec<CheckRow>) {
     let blocks: &[usize] = if quick {
         &[16, 64]
     } else {
@@ -166,7 +166,7 @@ fn check_eq21_mesh(quick: bool, threads: usize, rows_out: &mut Vec<CheckRow>) {
             memif: Default::default(),
             buffer_depth: 2,
             max_cycles: 1 << 30,
-            threads,
+            threads: 1,
         };
         let t0 = Instant::now();
         let mut mesh = load_scatter(cfg, block, 1);
@@ -350,7 +350,7 @@ fn main() -> Result<(), BenchError> {
     let mut rows: Vec<CheckRow> = Vec::new();
     check_eq11_model2(quick, &mut rows);
     check_table3_pscan(quick, &mut rows);
-    check_eq21_mesh(quick, ex.threads(), &mut rows);
+    check_eq21_mesh(quick, &mut rows);
     check_fig11_ideal(&mut rows);
     check_eq20_bandwidth(&mut rows);
     check_crc_accounting(&mut rows);

@@ -30,14 +30,12 @@ struct Point {
 fn mesh_energy_pj_per_bit(
     nodes: usize,
     words_per_node: usize,
-    threads: usize,
     interrupt: Option<&sim_core::cancel::Interrupt>,
 ) -> Result<f64, emesh::mesh::MeshError> {
     let cfg = MeshConfig::paper_default()
         .with_topology(Topology::square(nodes, MemifPlacement::FourCorners))
         .with_policy(RoutingPolicy::Xy)
-        .with_max_cycles(1 << 34)
-        .with_threads(threads);
+        .with_max_cycles(1 << 34);
     let mut mesh = load_gather_energy(cfg, words_per_node);
     if let Some(intr) = interrupt {
         mesh.set_interrupt(intr.clone());
@@ -49,7 +47,6 @@ fn mesh_energy_pj_per_bit(
 
 fn main() -> Result<(), BenchError> {
     let ex = Experiment::new("fig5_energy");
-    let threads = ex.threads();
     let quick = ex.quick();
     let sizes: &[usize] = if quick {
         &[16, 64, 256]
@@ -64,7 +61,7 @@ fn main() -> Result<(), BenchError> {
     let interrupt = ex.interrupt();
     for &n in sizes {
         eprintln!("simulating {n}-node mesh gather ({words} words/node)...");
-        let mesh = mesh_energy_pj_per_bit(n, words, threads, interrupt.as_ref())
+        let mesh = mesh_energy_pj_per_bit(n, words, interrupt.as_ref())
             .map_err(|e| BenchError::run("fig5_energy", e))?;
         let pscan = photonic.sca_pj_per_bit(20.0, n);
         let ratio = mesh / pscan;

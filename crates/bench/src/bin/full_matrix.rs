@@ -31,7 +31,7 @@ use serde::Serialize;
 /// Bin-specific flags plus the shared harness surface.
 const USAGE: &str = "usage: full_matrix [--quick] [--fidelity <policy>] \
                      [--reference|--no-reference] [--write-envelopes] \
-                     [--no-json] [--threads <n>] [--trace-out <path>] \
+                     [--no-json] [--trace-out <path>] \
                      [--metrics-out <path>] [--timeout-s <secs>]";
 
 /// The floor the fast path must clear against the simulation it displaced.

@@ -4,15 +4,12 @@
 //! Runs the 2²⁰-element transpose (P = 1024 processors, N = 1024 row
 //! length, `t_p = 1`, minimal adaptive) and reports simulated cycles,
 //! wall-time, and flit-moves per second (router traversals / wall-time —
-//! the natural unit of scheduler work). Each policy is swept across
-//! worker-thread counts of the deterministic epoch-parallel scheduler
-//! (DESIGN.md §11); the harness asserts the threaded runs reproduce the
-//! sequential cycle count exactly before reporting their speedups.
-//! Results go to `results/perf_mesh.json` so speedups across scheduler
-//! changes are tracked in-repo.
+//! the natural unit of scheduler work) for each routing policy on the
+//! sequential executor (DESIGN.md §11). Results go to
+//! `results/perf_mesh.json` so speedups across scheduler changes are
+//! tracked in-repo.
 //!
-//! `--quick` drops to P = N = 256 for smoke runs; `--threads <n>` adds
-//! `n` to the sweep.
+//! `--quick` drops to P = N = 256 for smoke runs.
 
 use bench::jobs::perf_mesh_point;
 use bench::{f, BenchError, Experiment};
@@ -33,7 +30,7 @@ struct PerfRow {
     elements: usize,
     policy: String,
     t_p: u64,
-    /// Worker threads of the epoch-parallel scheduler (1 = sequential).
+    /// Worker threads (always 1; half of the perf gate's row key).
     threads: usize,
     cycles: u64,
     wall_s: f64,
@@ -44,9 +41,6 @@ struct PerfRow {
     seed_wall_s: Option<f64>,
     /// `seed_wall_s / wall_s` — the scheduler-rework speedup.
     speedup_vs_seed: Option<f64>,
-    /// Wall-time of this policy's 1-thread run divided by this run's —
-    /// the parallel-scheduler speedup (1.0 for the 1-thread row).
-    speedup_vs_1t: Option<f64>,
 }
 
 fn run_one(
@@ -54,18 +48,13 @@ fn run_one(
     row_len: usize,
     policy: RoutingPolicy,
     t_p: u64,
-    threads: usize,
     interrupt: Option<&Interrupt>,
 ) -> Result<PerfRow, MeshError> {
     // The simulation core is shared with the `perf_mesh` job family in
     // [`bench::jobs`]; this bin adds the wall-clock-derived columns.
-    let point = perf_mesh_point(procs, row_len, policy, t_p, threads, interrupt)?;
+    let point = perf_mesh_point(procs, row_len, policy, t_p, 1, interrupt)?;
     let (cycles, flit_moves, wall_s) = (point.cycles, point.flit_moves, point.wall_s);
     let policy = format!("{policy:?}");
-    // The seed baseline is a property of the configuration, not the thread
-    // count (the seed scheduler was sequential-only), so threaded rows get
-    // it too — their speedup_vs_seed is the end-to-end win of the rework
-    // *and* the parallel scheduler together.
     let seed_wall_s = if (procs, row_len) == (1024, 1024) {
         SEED_WALL_S
             .iter()
@@ -80,7 +69,7 @@ fn run_one(
         elements: procs * row_len,
         policy,
         t_p,
-        threads,
+        threads: 1,
         cycles,
         wall_s,
         flit_moves,
@@ -88,61 +77,20 @@ fn run_one(
         cycles_per_s: cycles as f64 / wall_s,
         seed_wall_s,
         speedup_vs_seed: seed_wall_s.map(|s| s / wall_s),
-        speedup_vs_1t: None,
     })
-}
-
-/// Thread counts to sweep: always 1 (the baseline), the 2/4 ladder the CI
-/// perf gate keys on, and the `--threads` request.
-fn thread_sweep(quick: bool, requested: usize) -> Vec<usize> {
-    let mut sweep = if quick {
-        vec![1, 2, requested.max(2)]
-    } else {
-        vec![1, 2, 4, requested]
-    };
-    sweep.sort_unstable();
-    sweep.dedup();
-    sweep
 }
 
 fn main() -> Result<(), BenchError> {
     let ex = Experiment::new("perf_mesh");
     let (procs, row_len) = if ex.quick() { (256, 256) } else { (1024, 1024) };
-    let sweep = thread_sweep(ex.quick(), ex.threads());
     let interrupt = ex.interrupt();
 
     let mut rows: Vec<PerfRow> = Vec::new();
     for policy in [RoutingPolicy::MinimalAdaptive, RoutingPolicy::Xy] {
-        let mut base: Option<(u64, f64)> = None;
-        for &threads in &sweep {
-            eprintln!(
-                "perf_mesh: {procs}x{row_len} transpose, {policy:?}, t_p=1, {threads} thread(s) ..."
-            );
-            let mut row = run_one(procs, row_len, policy, 1, threads, interrupt.as_ref())
-                .map_err(|e| BenchError::run("perf_mesh", e))?;
-            match base {
-                None => base = Some((row.cycles, row.wall_s)),
-                Some((cycles_1t, wall_1t)) => {
-                    assert_eq!(
-                        row.cycles, cycles_1t,
-                        "{policy:?}: {threads}-thread run diverged from sequential"
-                    );
-                    row.speedup_vs_1t = Some(wall_1t / row.wall_s);
-                }
-            }
-            if row.threads == 1 {
-                row.speedup_vs_1t = Some(1.0);
-            }
-            if let Some(s) = row.speedup_vs_1t.filter(|&s| row.threads > 1 && s < 1.0) {
-                eprintln!(
-                    "perf_mesh: WARNING: {policy:?} at {threads} threads ran {s:.2}x \
-                     vs the 1-thread scheduler — parallel execution is a SLOWDOWN \
-                     on this machine ({} cores available)",
-                    std::thread::available_parallelism().map_or(0, |n| n.get()),
-                );
-            }
-            rows.push(row);
-        }
+        eprintln!("perf_mesh: {procs}x{row_len} transpose, {policy:?}, t_p=1 ...");
+        let row = run_one(procs, row_len, policy, 1, interrupt.as_ref())
+            .map_err(|e| BenchError::run("perf_mesh", e))?;
+        rows.push(row);
     }
 
     let table: Vec<Vec<String>> = rows
@@ -151,12 +99,9 @@ fn main() -> Result<(), BenchError> {
             vec![
                 format!("{}x{}", r.procs, r.row_len),
                 r.policy.clone(),
-                r.threads.to_string(),
                 r.cycles.to_string(),
                 f(r.wall_s, 2),
                 f(r.flit_moves_per_s / 1e6, 2),
-                r.speedup_vs_1t
-                    .map_or("-".to_string(), |s| format!("{s:.2}x")),
                 r.speedup_vs_seed
                     .map_or("-".to_string(), |s| format!("{s:.2}x")),
             ]
@@ -167,11 +112,9 @@ fn main() -> Result<(), BenchError> {
         &[
             "transpose",
             "policy",
-            "thr",
             "cycles",
             "wall s",
             "Mflit/s",
-            "vs 1t",
             "vs seed",
         ],
         &table,

@@ -147,7 +147,7 @@ fn main() -> Result<(), BenchError> {
         }
     }));
 
-    let mut cfg = if ex.quick() {
+    let cfg = if ex.quick() {
         Table3Spec::quick()
     } else {
         // Paper-scale Table III: long-lived enough that an external
@@ -155,7 +155,6 @@ fn main() -> Result<(), BenchError> {
         // square for the mesh topology).
         Table3Spec::paper()
     };
-    cfg.threads = ex.threads();
 
     let cache = Arc::new(ResultCache::new());
     // One worker: completion order (and which duplicate hits the cache) is

@@ -28,13 +28,11 @@ struct Row {
 fn simulated_delivery_efficiency(
     p: usize,
     block_words: usize,
-    threads: usize,
     interrupt: Option<&sim_core::cancel::Interrupt>,
 ) -> Result<f64, emesh::mesh::MeshError> {
     let cfg = MeshConfig::paper_default()
         .with_topology(Topology::square(p, MemifPlacement::SingleCorner))
-        .with_policy(RoutingPolicy::Xy)
-        .with_threads(threads);
+        .with_policy(RoutingPolicy::Xy);
     let mut mesh = load_scatter(cfg, block_words, 1);
     if let Some(intr) = interrupt {
         mesh.set_interrupt(intr.clone());
@@ -48,7 +46,6 @@ fn simulated_delivery_efficiency(
 
 fn main() -> Result<(), BenchError> {
     let ex = Experiment::new("table2");
-    let threads = ex.threads();
     let params = FftParams::default();
     let rows = table2();
     // Simulating the delivery on a real 256-node mesh is meaningful but
@@ -60,7 +57,7 @@ fn main() -> Result<(), BenchError> {
     let mut cells = Vec::new();
     for (r, &(_, _, paper_eta)) in rows.iter().zip(&PAPER_TABLE2) {
         let block = params.block_samples(r.k) as usize;
-        let sim = simulated_delivery_efficiency(sim_p, block, threads, interrupt.as_ref())
+        let sim = simulated_delivery_efficiency(sim_p, block, interrupt.as_ref())
             .map_err(|e| BenchError::run("table2", e))?;
         out_rows.push(Row {
             k: r.k,

@@ -52,12 +52,11 @@ fn traced_machine_writeback() -> Registry {
 
 fn main() -> std::result::Result<(), BenchError> {
     let mut ex = Experiment::new("table3");
-    let mut cfg = if ex.quick() {
+    let cfg = if ex.quick() {
         Table3Spec::quick()
     } else {
         Table3Spec::paper()
     };
-    cfg.threads = ex.threads();
     let tracing = ex.tracing();
 
     let interrupt = ex.interrupt();

@@ -93,8 +93,8 @@ pub struct Table3Spec {
     pub procs: usize,
     /// Samples per processor row, `N`.
     pub row_len: usize,
-    /// Worker threads for the deterministic parallel mesh scheduler.
-    /// Results are bit-identical for any value.
+    /// Worker threads requested of the mesh. The executor is sequential,
+    /// so results are bit-identical for any value.
     pub threads: usize,
 }
 

@@ -8,9 +8,6 @@
 //!
 //! * `--quick` — shrink the expensive configurations,
 //! * `--no-json` — skip the `results/<name>.json` write,
-//! * `--threads <n>` — worker threads for fabrics that support the
-//!   deterministic parallel scheduler (results are bit-identical for any
-//!   value; `0` is rejected),
 //! * `--trace-out <path>` — write the attached telemetry as Chrome
 //!   trace-event JSON (`chrome://tracing` / Perfetto loadable),
 //! * `--metrics-out <path>` — write the attached telemetry's metric
@@ -125,7 +122,6 @@ impl std::error::Error for BenchError {
 struct Cli {
     quick: bool,
     no_json: bool,
-    threads: usize,
     trace_out: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
     timeout_s: Option<f64>,
@@ -137,7 +133,6 @@ impl Default for Cli {
         Cli {
             quick: false,
             no_json: false,
-            threads: 1,
             trace_out: None,
             metrics_out: None,
             timeout_s: None,
@@ -147,9 +142,8 @@ impl Default for Cli {
 }
 
 /// One line per accepted flag, printed on a parse error.
-const USAGE: &str = "usage: <bin> [--quick] [--no-json] [--threads <n>] \
-                     [--trace-out <path>] [--metrics-out <path>] \
-                     [--timeout-s <secs>] [--fidelity <policy>]";
+const USAGE: &str = "usage: <bin> [--quick] [--no-json] [--trace-out <path>] \
+                     [--metrics-out <path>] [--timeout-s <secs>] [--fidelity <policy>]";
 
 impl Cli {
     fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
@@ -171,13 +165,6 @@ impl Cli {
             match flag.as_str() {
                 "--quick" => cli.quick = true,
                 "--no-json" => cli.no_json = true,
-                "--threads" => {
-                    let v = value(&mut it)?;
-                    cli.threads =
-                        v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                            format!("--threads needs a positive integer, got {v:?}")
-                        })?;
-                }
                 "--fidelity" => {
                     let v = value(&mut it)?;
                     cli.fidelity = fidelity::FidelityPolicy::parse(&v)
@@ -257,7 +244,7 @@ impl Experiment {
     ///
     /// # Errors
     /// The unparsed-flag message on an unknown argument, a missing or
-    /// malformed value, or `--threads 0`.
+    /// malformed value.
     pub fn with_args<I>(name: &str, args: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = String>,
@@ -275,14 +262,6 @@ impl Experiment {
     /// configurations.
     pub fn quick(&self) -> bool {
         self.cli.quick
-    }
-
-    /// Worker threads requested with `--threads` (default 1). Fabrics with
-    /// a deterministic parallel scheduler (`MeshConfig::with_threads`)
-    /// produce bit-identical results for any value, so this is purely a
-    /// wall-clock knob.
-    pub fn threads(&self) -> usize {
-        self.cli.threads
     }
 
     /// Whether `--trace-out` or `--metrics-out` was passed — i.e. whether
@@ -573,7 +552,6 @@ mod tests {
         let cli = parse(&["--quick", "--trace-out", "t.json", "--metrics-out=m.json"]).unwrap();
         assert!(cli.quick);
         assert!(!cli.no_json);
-        assert_eq!(cli.threads, 1);
         assert_eq!(
             cli.trace_out.as_deref(),
             Some(std::path::Path::new("t.json"))
@@ -585,17 +563,9 @@ mod tests {
     }
 
     #[test]
-    fn cli_parses_threads_both_spellings() {
-        assert_eq!(parse(&["--threads", "4"]).unwrap().threads, 4);
-        assert_eq!(parse(&["--threads=8", "--quick"]).unwrap().threads, 8);
-    }
-
-    #[test]
     fn cli_rejects_bad_input() {
         assert!(parse(&["--unknown"]).is_err());
-        assert!(parse(&["--threads"]).is_err(), "missing value");
-        assert!(parse(&["--threads", "0"]).is_err(), "zero threads");
-        assert!(parse(&["--threads", "many"]).is_err(), "non-numeric");
+        assert!(parse(&["--threads", "4"]).is_err(), "no thread knob");
         assert!(parse(&["--trace-out"]).is_err(), "missing path");
         assert!(parse(&["--quick=1"]).is_err(), "flag takes no value");
     }

@@ -76,10 +76,18 @@ fn unknown_flag_exits_2_with_usage() {
 }
 
 #[test]
-fn zero_threads_exits_2() {
-    let (code, err) = spawn_table1(&["--threads", "0"]);
-    assert_eq!(code, 2, "--threads 0 must exit 2: {err}");
-    assert!(err.contains("--threads"), "names the flag: {err}");
+fn threads_flag_is_unknown_and_exits_2() {
+    // The mesh executor is sequential, so there is no thread knob.
+    let (code, err) = spawn_table1(&["--threads", "4"]);
+    assert_eq!(code, 2, "--threads must exit 2: {err}");
+    assert!(
+        err.contains("unknown argument \"--threads\""),
+        "names the flag: {err}"
+    );
+    assert!(
+        !err.contains("[--threads"),
+        "usage no longer offers it: {err}"
+    );
 }
 
 #[test]

@@ -22,9 +22,8 @@
 //! stream and each directed link owns its outage stream, advanced by a
 //! plain trial counter. A trial's outcome is a pure function of
 //! `(seed, site, trial index)`, so it does not depend on when any *other*
-//! site is consulted — which is exactly what lets the epoch-parallel
-//! scheduler (DESIGN.md §11) evaluate faults inside concurrent waves and
-//! still match the sequential scheduler bit for bit.
+//! site is consulted: the fault schedule is fixed by the traffic each site
+//! sees, not by the order the service loop visits sites in (DESIGN.md §11).
 //!
 //! The layer is attached with [`crate::mesh::Mesh::enable_faults`]; a mesh
 //! without it (or with all rates zero and no kills) is bit-identical to the
@@ -33,6 +32,8 @@
 use std::collections::{HashMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
+
+use sim_core::faults::hash_bernoulli;
 
 use crate::flit::Packet;
 use crate::router::NUM_PORTS;
@@ -154,75 +155,27 @@ pub(crate) struct Retransmit {
     pub packet: Packet,
 }
 
-/// Entry-owned fault state a router's service step reads **and writes**.
-///
-/// Everything here is indexed by router (or router × port), and a service
-/// step for router `r` touches only `r`'s slots — which makes the whole
-/// struct shardable across an epoch wave behind
-/// [`sim_core::parallel::SyncCell`] without locks. Trial counters advance
-/// the per-site counter-hash streams; `down_until` is written by the owning
-/// router when its own outage stream fires.
-#[derive(Debug)]
-pub(crate) struct FaultHot {
-    /// Config seed (site streams derive from it).
-    pub seed: u64,
-    /// Per-traversal corruption probability.
-    pub corrupt_rate: f64,
-    /// Per-traversal link-outage probability.
-    pub link_down_rate: f64,
-    /// Outage length in cycles.
-    pub link_down_cycles: u64,
-    /// Trials consumed so far on each router's corruption stream.
-    pub corrupt_trials: Vec<u64>,
-    /// Trials consumed so far on each `router * NUM_PORTS + port` outage
-    /// stream.
-    pub link_trials: Vec<u64>,
-    /// Cycle until which `router * NUM_PORTS + port` is down.
-    pub down_until: Vec<u64>,
-    /// Kill cycle per router (`None` = never dies). Read-only during a run.
-    pub killed_at: Vec<Option<u64>>,
-}
-
-impl FaultHot {
-    /// Whether `router` is dead at `cycle`.
-    #[inline]
-    pub fn is_dead(&self, router: u32, cycle: u64) -> bool {
-        self.killed_at[router as usize].is_some_and(|at| at <= cycle)
-    }
-}
-
 /// Live fault state attached to a [`crate::mesh::Mesh`].
-///
-/// Split in two: `FaultHot` (entry-owned, touched inside service steps,
-/// safe to share across a wave) and the master half below (stats and the
-/// retransmission queue, mutated only via deferred effects committed in
-/// service order by the scheduler's master thread).
 #[derive(Debug)]
 pub struct FaultLayer {
     /// The configuration.
     pub cfg: MeshFaultConfig,
-    /// Entry-owned state serviced routers read and write directly.
-    pub(crate) hot: FaultHot,
+    /// Trials consumed so far on each router's corruption stream.
+    corrupt_trials: Vec<u64>,
+    /// Trials consumed so far on each `router * NUM_PORTS + port` outage
+    /// stream.
+    link_trials: Vec<u64>,
+    /// Cycle until which `router * NUM_PORTS + port` is down.
+    down_until: Vec<u64>,
+    /// Kill cycle per router (`None` = never dies).
+    killed_at: Vec<Option<u64>>,
     /// NACKed elements in due order (dues are monotone: scheduled at
     /// `now + nack_delay` with `now` monotone, so a deque stays sorted).
     pub(crate) retx: VecDeque<Retransmit>,
     /// Retransmission attempts per (source, packet id).
-    pub(crate) attempts: HashMap<(u32, u64), u32>,
+    attempts: HashMap<(u32, u64), u32>,
     /// Counters.
     pub stats: MeshFaultStats,
-}
-
-/// The master-owned half of a [`FaultLayer`] during a run: statistics, the
-/// retransmission machinery, and the (copied) retransmit policy knobs.
-/// Mutated only through `FxSink` effects (see `mesh/exec.rs`), which the
-/// scheduler commits in service order.
-pub(crate) struct FaultMasterView<'m> {
-    pub stats: &'m mut MeshFaultStats,
-    pub retx: &'m mut VecDeque<Retransmit>,
-    pub attempts: &'m mut HashMap<(u32, u64), u32>,
-    pub retransmit: bool,
-    pub max_retransmits: u32,
-    pub nack_delay: u64,
 }
 
 impl FaultLayer {
@@ -235,16 +188,10 @@ impl FaultLayer {
             *slot = Some(slot.map_or(k.at_cycle, |c: u64| c.min(k.at_cycle)));
         }
         FaultLayer {
-            hot: FaultHot {
-                seed: cfg.seed,
-                corrupt_rate: cfg.corrupt_rate,
-                link_down_rate: cfg.link_down_rate,
-                link_down_cycles: cfg.link_down_cycles,
-                corrupt_trials: vec![0; n],
-                link_trials: vec![0; n * NUM_PORTS],
-                down_until: vec![0; n * NUM_PORTS],
-                killed_at,
-            },
+            corrupt_trials: vec![0; n],
+            link_trials: vec![0; n * NUM_PORTS],
+            down_until: vec![0; n * NUM_PORTS],
+            killed_at,
             retx: VecDeque::new(),
             attempts: HashMap::new(),
             cfg,
@@ -252,14 +199,20 @@ impl FaultLayer {
         }
     }
 
+    /// Cycle `router` is scheduled to die at, if ever.
+    pub(crate) fn killed_at(&self, router: u32) -> Option<u64> {
+        self.killed_at[router as usize]
+    }
+
     /// Whether `router` is dead at `cycle`.
+    #[inline]
     pub fn is_dead(&self, router: u32, cycle: u64) -> bool {
-        self.hot.is_dead(router, cycle)
+        self.killed_at[router as usize].is_some_and(|at| at <= cycle)
     }
 
     /// Routers dead at `cycle`.
     pub fn dead_routers(&self, cycle: u64) -> Vec<u32> {
-        (0..self.hot.killed_at.len() as u32)
+        (0..self.killed_at.len() as u32)
             .filter(|&r| self.is_dead(r, cycle))
             .collect()
     }
@@ -269,20 +222,70 @@ impl FaultLayer {
         self.retx.front().map(|r| r.due)
     }
 
-    /// Split into the entry-owned hot half and the master half — the borrow
-    /// boundary the epoch-parallel scheduler is built on.
-    pub(crate) fn split_views(&mut self) -> (&mut FaultHot, FaultMasterView<'_>) {
-        (
-            &mut self.hot,
-            FaultMasterView {
-                stats: &mut self.stats,
-                retx: &mut self.retx,
-                attempts: &mut self.attempts,
-                retransmit: self.cfg.retransmit,
-                max_retransmits: self.cfg.max_retransmits,
-                nack_delay: self.cfg.nack_delay,
-            },
+    /// One trial of router `ri`'s corruption stream.
+    #[inline]
+    pub(crate) fn corrupt_fire(&mut self, ri: usize) -> bool {
+        let trial = self.corrupt_trials[ri];
+        self.corrupt_trials[ri] += 1;
+        hash_bernoulli(
+            self.cfg.seed,
+            corrupt_site(ri),
+            trial,
+            self.cfg.corrupt_rate,
         )
+    }
+
+    /// One trial of output `o` of router `ri`'s link-outage stream.
+    #[inline]
+    pub(crate) fn link_fire(&mut self, ri: usize, o: usize) -> bool {
+        let i = ri * NUM_PORTS + o;
+        let trial = self.link_trials[i];
+        self.link_trials[i] += 1;
+        hash_bernoulli(
+            self.cfg.seed,
+            link_site(ri, o),
+            trial,
+            self.cfg.link_down_rate,
+        )
+    }
+
+    /// Cycle until which output `o` of router `ri` is down.
+    #[inline]
+    pub(crate) fn down_until(&self, ri: usize, o: usize) -> u64 {
+        self.down_until[ri * NUM_PORTS + o]
+    }
+
+    /// Take output `o` of router `ri` down for the configured outage
+    /// length from `cycle`; returns the cycle it comes back.
+    #[inline]
+    pub(crate) fn take_down(&mut self, ri: usize, o: usize, cycle: u64) -> u64 {
+        let until = cycle + self.cfg.link_down_cycles;
+        self.down_until[ri * NUM_PORTS + o] = until;
+        self.stats.link_down_events += 1;
+        until
+    }
+
+    /// The memory interface at `router` detected a poisoned element of
+    /// `packet` from `src` at `cycle`: account the NACK and, budget
+    /// permitting, schedule the retransmission.
+    pub(crate) fn nack(&mut self, router: u32, src: u32, packet: u64, payload: u64, cycle: u64) {
+        self.stats.nacks += 1;
+        if !self.cfg.retransmit {
+            self.stats.dropped_elements += 1;
+            return;
+        }
+        let attempts = self.attempts.entry((src, packet)).or_insert(0);
+        if *attempts >= self.cfg.max_retransmits {
+            self.stats.dropped_elements += 1;
+            return;
+        }
+        *attempts += 1;
+        self.stats.retransmits += 1;
+        self.retx.push_back(Retransmit {
+            due: cycle + self.cfg.nack_delay,
+            src,
+            packet: Packet::with_header(router, packet, vec![payload]),
+        });
     }
 }
 
@@ -317,23 +320,12 @@ mod tests {
 
     #[test]
     fn zero_rate_layer_never_fires() {
-        use sim_core::faults::hash_bernoulli;
-        let layer = FaultLayer::new(MeshFaultConfig::default(), 4);
+        let mut layer = FaultLayer::new(MeshFaultConfig::default(), 4);
         for ri in 0..4 {
-            for t in 0..1000 {
-                assert!(!hash_bernoulli(
-                    layer.hot.seed,
-                    corrupt_site(ri),
-                    t,
-                    layer.hot.corrupt_rate
-                ));
+            for _ in 0..1000 {
+                assert!(!layer.corrupt_fire(ri));
                 for o in 0..NUM_PORTS {
-                    assert!(!hash_bernoulli(
-                        layer.hot.seed,
-                        link_site(ri, o),
-                        t,
-                        layer.hot.link_down_rate
-                    ));
+                    assert!(!layer.link_fire(ri, o));
                 }
             }
         }

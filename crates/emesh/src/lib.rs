@@ -12,7 +12,8 @@
 //!   rows, spending `t_p` cycles per element (§V-C-2's staging cost),
 //!   backed by the [`memory`] crate's DRAM model.
 //!
-//! The simulator is cycle-accurate at flit granularity and deterministic.
+//! The simulator is cycle-accurate at flit granularity and deterministic,
+//! and runs one sequential service loop per mesh over safe code only.
 //!
 //! * [`flit`] — flits, packets and their wire format.
 //! * [`topology`] — mesh coordinates and memory-interface placement.
@@ -30,6 +31,8 @@
 //! * [`energy`] — ORION-style per-flit router/link energy on a fixed
 //!   2 cm × 2 cm die where the link-repeater count is inversely related to
 //!   the number of network nodes (§III-C).
+
+#![forbid(unsafe_code)]
 
 pub mod collectives;
 pub mod ebus;

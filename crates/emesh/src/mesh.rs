@@ -30,21 +30,17 @@
 //! wakeup). This preserves the heap scheduler's exact (cycle, insertion)
 //! service order — enforced bit-for-bit by the golden transpose tests —
 //! while skipping most of its queue traffic.
-
-//! A deterministic *epoch-parallel* mode (DESIGN.md §11) partitions each
-//! cycle's service list into conflict-free waves and fans them across an
-//! [`sim_core::parallel::EpochPool`]; it is selected by
-//! [`MeshConfig::with_threads`] and is bit-identical to single-threaded
-//! execution — enforced by the same golden tests. Both run on one unified
-//! cycle loop (`mesh/exec.rs`): the sequential path *is* the parallel
-//! path's commit step, so faults, telemetry and latency tracking all work
-//! at any thread count with no fallback.
+//!
+//! The service loop itself (`mesh/exec.rs`) is one sequential drain over
+//! plain `&mut` state, with faults, telemetry and latency tracking applied
+//! in place; router port state lives in a structure-of-arrays slab
+//! (`mesh/soa.rs`). DESIGN.md §11 records why there is no parallel
+//! executor.
 
 mod exec;
-mod par;
 mod soa;
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 use sim_core::cancel::{CancelCause, Interrupt};
@@ -85,13 +81,10 @@ pub struct MeshConfig {
     pub buffer_depth: usize,
     /// Watchdog: abort after this many cycles.
     pub max_cycles: u64,
-    /// Worker threads for the deterministic epoch-parallel scheduler
-    /// (1 = single-threaded; see DESIGN.md §11). Every configuration —
-    /// faults, telemetry, latency tracking included — runs the same
-    /// unified loop bit-identically at any thread count, so results never
-    /// depend on this knob; it only trades wall clock. Requests beyond the
-    /// node count are clamped and reported in
-    /// [`MeshRunResult::warnings`].
+    /// Worker threads requested for the run. The executor is sequential
+    /// (DESIGN.md §11), so results never depend on this knob; a request
+    /// above 1 runs on one thread and is reported as
+    /// [`RunWarning::SequentialOnly`] in [`MeshRunResult::warnings`].
     pub threads: usize,
 }
 
@@ -175,10 +168,8 @@ impl MeshConfig {
         self
     }
 
-    /// Set the worker-thread count for the deterministic epoch-parallel
-    /// scheduler (clamped to ≥ 1; 1 selects single-threaded execution).
-    /// Any value produces bit-identical results — threads only trade wall
-    /// clock.
+    /// Set the requested worker-thread count (clamped to ≥ 1). The run
+    /// itself is always sequential; see [`MeshConfig::threads`].
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -303,24 +294,21 @@ impl std::error::Error for MeshError {}
 /// host machine), so they are safe to include in golden fingerprints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RunWarning {
-    /// More worker threads were requested than the mesh has routers; the
-    /// run executed with one worker per router instead (extra workers
-    /// could never have a wave entry to service).
-    ThreadsExceedNodes {
+    /// More than one worker thread was requested; the executor is
+    /// sequential, so the run used one.
+    SequentialOnly {
         /// Threads requested via [`MeshConfig::threads`].
         requested: usize,
-        /// Routers in the mesh (= the thread count actually used).
-        nodes: usize,
     },
 }
 
 impl std::fmt::Display for RunWarning {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RunWarning::ThreadsExceedNodes { requested, nodes } => write!(
+            RunWarning::SequentialOnly { requested } => write!(
                 f,
-                "requested {requested} threads for a {nodes}-router mesh; \
-                 clamped to {nodes}"
+                "requested {requested} threads; the mesh executor is sequential \
+                 and ran on 1"
             ),
         }
     }
@@ -348,8 +336,8 @@ pub struct MeshRunResult {
     pub router_forwards: Vec<u64>,
     /// Fault-layer counters, if a fault layer was attached.
     pub faults: Option<MeshFaultStats>,
-    /// Non-fatal scheduler warnings (e.g. a clamped thread count). Always
-    /// deterministic for a given configuration.
+    /// Non-fatal scheduler warnings (e.g. an unused thread request).
+    /// Always deterministic for a given configuration.
     pub warnings: Vec<RunWarning>,
 }
 
@@ -487,9 +475,10 @@ pub struct Mesh {
     sink_words: Vec<Vec<u64>>,
     /// Whether sinks retain delivered payload words (tests) or just count.
     collect_sink_words: bool,
-    /// Packet-latency tracking: inject cycle indexed by packet id
-    /// ([`NEVER`] = not in flight), grown on demand.
-    inject_cycle: Option<Vec<u64>>,
+    /// Packet-latency tracking: inject cycle of each packet id whose head
+    /// is in the network and whose tail is not yet out (filled only while
+    /// `latency` is attached).
+    inject_cycle: HashMap<u64, u64>,
     latency: Option<Histogram>,
     wheel: WakeWheel,
     /// Last cycle each router was processed (a router runs at most once per
@@ -514,13 +503,9 @@ pub struct Mesh {
     /// the cycle it changed.
     progress_metric: u64,
     progress_cycle: u64,
-    /// Warnings accumulated by the current run (cleared at run start).
-    run_warnings: Vec<RunWarning>,
-    /// Cooperative interrupt, polled once per serviced cycle on the master
-    /// loop (which both the sequential path and the epoch-parallel waves
-    /// run through). `None` (the default) costs one branch per serviced
-    /// cycle and keeps the run bit-identical to a build without the
-    /// feature.
+    /// Cooperative interrupt, polled once per serviced cycle. `None` (the
+    /// default) costs one branch per serviced cycle and keeps the run
+    /// bit-identical to a build without the feature.
     interrupt: Option<Interrupt>,
 }
 
@@ -568,7 +553,7 @@ impl Mesh {
             sink_last_cycle: vec![0; n],
             sink_words: vec![Vec::new(); n],
             collect_sink_words: false,
-            inject_cycle: None,
+            inject_cycle: HashMap::new(),
             latency: None,
             wheel: WakeWheel::new(),
             processed_at: vec![NEVER; n],
@@ -582,7 +567,6 @@ impl Mesh {
             telemetry: None,
             progress_metric: 0,
             progress_cycle: 0,
-            run_warnings: Vec::new(),
             interrupt: None,
         }
     }
@@ -651,7 +635,7 @@ impl Mesh {
     /// Record per-packet inject→eject latency into a histogram
     /// (`bucket_width` cycles per bucket).
     pub fn track_latency(&mut self, bucket_width: u64, buckets: usize) {
-        self.inject_cycle = Some(Vec::new());
+        self.inject_cycle.clear();
         self.latency = Some(Histogram::new(bucket_width, buckets));
     }
 
@@ -686,7 +670,7 @@ impl Mesh {
             return Err(MeshError::BadInjection { node, nodes });
         }
         if let Some(fl) = &self.faults {
-            if let Some(at) = fl.hot.killed_at[node as usize] {
+            if let Some(at) = fl.killed_at(node) {
                 if at <= self.now {
                     return Err(MeshError::DeadNode {
                         node,
@@ -717,8 +701,25 @@ impl Mesh {
         &self.sink_words[node as usize]
     }
 
+    /// Schedule a wakeup for `router` at `cycle`, deduplicating at push
+    /// time.
+    #[inline]
     fn wake(&mut self, router: u32, cycle: u64) {
-        wake_raw(&mut self.wheel, &mut self.next_wake, router, cycle);
+        let ri = router as usize;
+        if self.next_wake[ri] == cycle {
+            // A wake for this router at this exact cycle is already
+            // pending; the duplicate would pop as a no-op (the first entry
+            // services the router, `processed_at` skips the rest). Dropping
+            // *only* exact duplicates keeps every surviving entry at the
+            // seed scheduler's (cycle, insertion) position — a
+            // stronger-looking "skip if any earlier wake is pending" rule
+            // re-pushes the pair later and reorders same-cycle service.
+            return;
+        }
+        if cycle < self.next_wake[ri] {
+            self.next_wake[ri] = cycle;
+        }
+        self.wheel.push(router, cycle);
     }
 
     /// Flit conservation (DESIGN.md §12): `in_flight` counts exactly the
@@ -796,21 +797,6 @@ impl Mesh {
         }
     }
 
-    /// Drive the simulation until all traffic drains. Returns completion
-    /// cycle and statistics.
-    ///
-    /// One unified cycle loop serves every configuration (`mesh/exec.rs`):
-    /// with [`MeshConfig::threads`] > 1 dense cycles fan out across the
-    /// deterministic epoch-parallel scheduler (DESIGN.md §11), and sparse
-    /// cycles run inline on the master — bit-identically to a
-    /// single-threaded run in all cases, faults, telemetry and latency
-    /// tracking included. Non-fatal scheduler conditions (e.g. a thread
-    /// count clamped to the node count) are reported in
-    /// [`MeshRunResult::warnings`].
-    pub fn run(&mut self) -> Result<MeshRunResult, MeshError> {
-        self.run_core()
-    }
-
     /// Shared end-of-run epilogue: deadlock detection, DRAM drain
     /// accounting, telemetry flush, result assembly.
     fn finish(&mut self) -> Result<MeshRunResult, MeshError> {
@@ -848,7 +834,13 @@ impl Mesh {
             latency: self.latency.clone(),
             router_forwards: self.router_forwards.clone(),
             faults: self.faults.as_ref().map(|fl| fl.stats),
-            warnings: self.run_warnings.clone(),
+            warnings: if self.cfg.threads > 1 {
+                vec![RunWarning::SequentialOnly {
+                    requested: self.cfg.threads,
+                }]
+            } else {
+                Vec::new()
+            },
         })
     }
 
@@ -953,28 +945,6 @@ impl Mesh {
     pub fn memif_count(&self) -> usize {
         self.memifs.len()
     }
-}
-
-/// Schedule a wakeup for `router` at `cycle`, deduplicating at push time.
-/// Free function so the epoch-parallel effect replay (which holds the
-/// router state behind a disjoint borrow) shares the exact dedup rule with
-/// [`Mesh::wake`].
-fn wake_raw(wheel: &mut WakeWheel, next_wake: &mut [u64], router: u32, cycle: u64) {
-    let ri = router as usize;
-    if next_wake[ri] == cycle {
-        // A wake for this router at this exact cycle is already
-        // pending; the duplicate would pop as a no-op (the first entry
-        // services the router, `processed_at` skips the rest). Dropping
-        // *only* exact duplicates keeps every surviving entry at the
-        // seed scheduler's (cycle, insertion) position — a
-        // stronger-looking "skip if any earlier wake is pending" rule
-        // re-pushes the pair later and reorders same-cycle service.
-        return;
-    }
-    if cycle < next_wake[ri] {
-        next_wake[ri] = cycle;
-    }
-    wheel.push(router, cycle);
 }
 
 fn m_free_at(m: &MemIf, c: u64) -> u64 {
@@ -1159,6 +1129,20 @@ mod tests {
         // Congestion toward one corner: worst latency well above the
         // uncontended 2-flit minimum.
         assert!(h.max().unwrap() >= 6);
+    }
+
+    #[test]
+    fn latency_tracking_accepts_any_packet_id() {
+        // Latency bookkeeping is keyed by packet id, so huge ids (and the
+        // largest one) neither allocate id-sized tables nor overflow.
+        for id in [1u64 << 40, u64::MAX] {
+            let mut m = Mesh::new(MeshConfig::table3(16, 1));
+            m.track_latency(8, 64);
+            m.inject_packet(5, &Packet::with_header(0, id, vec![1]));
+            let res = m.run().unwrap();
+            assert_eq!(res.latency.expect("tracking enabled").count(), 1, "id {id}");
+            assert!(m.inject_cycle.is_empty(), "id {id} left in flight");
+        }
     }
 
     #[test]

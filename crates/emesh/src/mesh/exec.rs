@@ -1,199 +1,106 @@
-//! The unified mesh executor: one service implementation, two sinks.
+//! The mesh service loop.
 //!
-//! Every router service step — injection, wormhole forwarding, ejection,
-//! fault evaluation, latency and telemetry taps — lives here exactly once,
-//! generic over an [`FxSink`]. The sink is where a step's effects on
-//! *shared* scheduler state go:
+//! One sequential drain over plain `&mut` state: every serviced cycle takes
+//! the wake-wheel bucket for that cycle and services its routers in
+//! insertion order — telemetry tap, dead check, injection, then port
+//! service rotated by the cycle number. Every router service step
+//! (injection, wormhole forwarding, ejection, fault evaluation, latency and
+//! telemetry taps) lives here exactly once and applies its effects
+//! directly, in the order the golden transpose tests pin (DESIGN.md §11).
 //!
-//! * **Sequential execution** (and the parallel scheduler's sparse-cycle
-//!   fast path) uses [`MasterFx`], which applies every effect directly —
-//!   this *is* the seed scheduler whose exact observable order the golden
-//!   tests pin, at the seed scheduler's cost.
-//! * **Parallel waves** use [`super::par::EntryFx`], which buffers the
-//!   effects; the master replays each buffer **in service order** through
-//!   the same [`MasterFx`] methods after the wave barrier, so the commit
-//!   path is literally the sequential path.
-//!
-//! State touched *inside* a service step is split by ownership
-//! (DESIGN.md §11):
-//!
-//! * **Entry-owned** state is indexed by the serviced router (or, for the
-//!   committed flit hand-off and the adaptive-route occupancy read, by the
-//!   neighbour port facing it): the SoA router slab, injection queues,
-//!   stamps, memory interfaces, sinks, forward counters, fault trial
-//!   counters and link-outage windows. The wave planner's radius-1
-//!   independence guarantee (see `mesh/par.rs`) makes concurrent access
-//!   disjoint, so [`CoreView`] exposes it through
-//!   [`sim_core::parallel::SyncCell`] slices, lock-free.
-//! * **Master-owned** state is global and order-sensitive: the wake wheel,
-//!   flit conservation counters, energy, fault statistics, the NACK
-//!   retransmission queue, the latency table and telemetry histograms.
-//!   Only [`FxSink`] methods reach it.
-//!
-//! Fault-schedule evaluation is thread-safe *by construction*: each
+//! Fault evaluation does not depend on that order for its schedule: each
 //! Bernoulli site (a router's corruption stream, a directed link's outage
-//! stream) owns a plain trial counter in entry-owned state, and
+//! stream) owns a plain trial counter, and
 //! [`sim_core::faults::hash_bernoulli`] makes a trial's outcome a pure
-//! function of `(seed, site, trial)`. No cross-site RNG stream exists, so
-//! the schedule cannot depend on service interleaving.
+//! function of `(seed, site, trial)`.
 
 use sim_core::invariant;
-use sim_core::parallel::{Arrivals, EpochPool, SyncCell};
-use sim_core::stats::Histogram;
-use sim_core::telemetry::SeriesHistogram;
 
-use super::soa::SlabView;
-use super::{
-    m_free_at, wake_raw, Mesh, MeshConfig, MeshError, MeshRunResult, RoutingPolicy, WakeWheel,
-    NEVER,
-};
-use crate::energy::EnergyCounters;
-use crate::faults::{corrupt_site, link_site, FaultMasterView, Retransmit, PROBE_INTERVAL};
-use crate::flit::{Flit, FlitKind, Packet};
-use crate::memif::MemIf;
+use super::soa::NO_PORT;
+use super::{m_free_at, Mesh, MeshError, MeshRunResult, RoutingPolicy, WakeWheel};
+use super::{AUDIT_INTERVAL, NEVER};
+use crate::faults::PROBE_INTERVAL;
+use crate::flit::FlitKind;
 use crate::router::{Port, NUM_PORTS};
-
-use super::par::{run_waves, EntryFx, WavePlanner, DISPATCH_GRAIN};
+use crate::topology::NodeCoord;
 
 const LOCAL: usize = Port::Local as usize;
 
-/// Where a service step's master-owned effects go. See the module docs;
-/// methods mirror the seed scheduler's shared-state writes one-to-one.
-pub(crate) trait FxSink {
-    /// Schedule a wakeup of `router` at `cycle` (> the cycle under
-    /// service).
-    fn wake(&mut self, router: u32, cycle: u64);
-    /// A flit left an injection queue into the network.
-    fn injected(&mut self);
-    /// A flit left the network (memory interface or processor sink).
-    fn ejected(&mut self);
-    /// A router datapath traversal (energy).
-    fn traversal(&mut self);
-    /// An inter-router link hop (energy).
-    fn hop(&mut self);
-    /// Pre-service input-buffer occupancy sample (telemetry attached).
-    fn occ_sample(&mut self, occ: u64);
-    /// A head flit of `packet` entered the network at `cycle` (latency
-    /// tracking attached).
-    fn head_injected(&mut self, packet: u64, cycle: u64);
-    /// A tail flit of `packet` left the network at `cycle` (latency
-    /// tracking attached).
-    fn tail_ejected(&mut self, packet: u64, cycle: u64);
-    /// A payload flit was poisoned in flight.
-    fn corrupted(&mut self);
-    /// A transient link outage fired.
-    fn link_down_event(&mut self);
-    /// A blocked sender probed a dead neighbour.
-    fn probe(&mut self);
-    /// An element was lost for good.
-    fn dropped_element(&mut self);
-    /// Memory interface at `router` detected a poisoned element from
-    /// `src`: account the NACK and (budget permitting) schedule the
-    /// retransmission.
-    fn nack(&mut self, router: u32, src: u32, packet: u64, payload: u64, cycle: u64);
-}
-
-/// Entry-owned fault state as seen from inside a service step.
-#[derive(Clone, Copy)]
-pub(crate) struct FaultHotView<'a> {
-    seed: u64,
-    corrupt_rate: f64,
-    link_down_rate: f64,
-    /// Outage length in cycles.
-    pub link_down_cycles: u64,
-    corrupt_trials: &'a [SyncCell<u64>],
-    link_trials: &'a [SyncCell<u64>],
-    down_until: &'a [SyncCell<u64>],
-    killed_at: &'a [Option<u64>],
-}
-
-impl FaultHotView<'_> {
-    /// Whether `router` is dead at `cycle` (read-only schedule).
-    #[inline]
-    pub fn is_dead(&self, router: u32, cycle: u64) -> bool {
-        self.killed_at[router as usize].is_some_and(|at| at <= cycle)
-    }
-
-    /// One trial of router `ri`'s corruption stream.
+impl Mesh {
+    /// Drive the simulation until all traffic drains. Returns completion
+    /// cycle and statistics.
     ///
-    /// Safety contract: `ri` is the router under service (entry-owned).
-    #[inline]
-    pub fn corrupt_fire(&self, ri: usize) -> bool {
-        let t = unsafe { &mut *self.corrupt_trials[ri].get() };
-        let trial = *t;
-        *t += 1;
-        sim_core::faults::hash_bernoulli(self.seed, corrupt_site(ri), trial, self.corrupt_rate)
+    /// Execution is sequential whatever [`super::MeshConfig::threads`]
+    /// asks for; a request for more than one thread is reported as
+    /// [`super::RunWarning::SequentialOnly`] in [`MeshRunResult::warnings`].
+    pub fn run(&mut self) -> Result<MeshRunResult, MeshError> {
+        let mut audit_countdown = AUDIT_INTERVAL;
+        loop {
+            // Next service cycle: earliest wheel wakeup or NACK-retransmit
+            // turnaround, whichever comes first.
+            let mut next = self.wheel.next_cycle();
+            if let Some(due) = self.faults.as_ref().and_then(|fl| fl.next_retx_due()) {
+                next = Some(next.map_or(due, |n| n.min(due)));
+            }
+            let Some(c) = next else { break };
+            // Cooperative cancellation: one branch per serviced cycle when
+            // no interrupt is installed.
+            if let Some(intr) = self.interrupt.as_mut() {
+                if let Some(cause) = intr.check(c) {
+                    return Err(MeshError::Cancelled {
+                        at_cycle: c,
+                        cause,
+                        in_flight: self.in_flight,
+                        pending_inject: self.pending_inject,
+                        energy: self.energy,
+                    });
+                }
+            }
+            if c > self.cfg.max_cycles {
+                return Err(MeshError::CycleLimit {
+                    limit: self.cfg.max_cycles,
+                });
+            }
+            debug_assert!(c >= self.now, "wakeup in the past");
+            self.now = c;
+            self.wheel.advance_to(c);
+            self.drain_due_retransmits(c);
+            // Drain the bucket for cycle `c` in insertion order. Every wake
+            // pushed while processing cycle `c` targets a cycle ≥ c + 1, so
+            // the bucket cannot grow (or be reused — c + WINDOW is spilled
+            // to the overflow heap) underneath this loop; take it out
+            // wholesale and hand its allocation back afterwards.
+            let b = (c % WakeWheel::WINDOW) as usize;
+            let mut ids = std::mem::take(&mut self.wheel.buckets[b]);
+            self.wheel.bucket_pending -= ids.len() as u64;
+            for &r in &ids {
+                if self.bookkeep(r as usize, c) {
+                    self.service_entry(r, c);
+                }
+            }
+            ids.clear();
+            debug_assert!(
+                self.wheel.buckets[b].is_empty(),
+                "same-cycle wake pushed while draining"
+            );
+            self.wheel.buckets[b] = ids;
+            if sim_core::invariants::ENABLED {
+                audit_countdown -= 1;
+                if audit_countdown == 0 {
+                    audit_countdown = AUDIT_INTERVAL;
+                    self.check_flit_conservation();
+                }
+            }
+            if self.faults.is_some() {
+                self.watchdog_check(c)?;
+            }
+        }
+        self.finish()
     }
 
-    /// One trial of output `o` of router `ri`'s link-outage stream.
-    #[inline]
-    pub fn link_fire(&self, ri: usize, o: usize) -> bool {
-        let t = unsafe { &mut *self.link_trials[ri * NUM_PORTS + o].get() };
-        let trial = *t;
-        *t += 1;
-        sim_core::faults::hash_bernoulli(self.seed, link_site(ri, o), trial, self.link_down_rate)
-    }
-
-    /// Cycle until which output `o` of router `ri` is down.
-    #[inline]
-    pub fn down_until(&self, ri: usize, o: usize) -> u64 {
-        unsafe { *self.down_until[ri * NUM_PORTS + o].get() }
-    }
-
-    /// Take output `o` of router `ri` down until `cycle`.
-    #[inline]
-    pub fn set_down_until(&self, ri: usize, o: usize, cycle: u64) {
-        unsafe { *self.down_until[ri * NUM_PORTS + o].get() = cycle }
-    }
-}
-
-/// Shared view of all entry-owned mesh state: what a service step may read
-/// and write directly, for both the sequential path and wave workers. The
-/// master-owned scheduler state stays behind [`MasterFx`].
-pub(crate) struct CoreView<'a> {
-    pub cfg: &'a MeshConfig,
-    pub slab: SlabView<'a>,
-    inject: &'a [SyncCell<std::collections::VecDeque<Flit>>],
-    last_inject: &'a [SyncCell<u64>],
-    /// Flattened `router * NUM_PORTS + port` pop stamps.
-    last_pop: &'a [SyncCell<u64>],
-    memif_slot: &'a [Option<u32>],
-    memifs: &'a [SyncCell<MemIf>],
-    sink_delivered: &'a [SyncCell<u64>],
-    sink_last_cycle: &'a [SyncCell<u64>],
-    sink_words: &'a [SyncCell<Vec<u64>>],
-    router_forwards: &'a [SyncCell<u64>],
-    collect_sink_words: bool,
-    pub fault: Option<FaultHotView<'a>>,
-    /// Latency tracking attached: emit head/tail packet timestamps.
-    latency_on: bool,
-    /// Telemetry attached: emit pre-service occupancy samples.
-    tel_on: bool,
-}
-
-/// Master-owned scheduler state, directly applying every [`FxSink`]
-/// effect. This is both the sequential path's sink and the commit target
-/// the parallel path replays [`EntryFx`] buffers into.
-pub(crate) struct MasterFx<'m> {
-    wheel: &'m mut WakeWheel,
-    next_wake: &'m mut [u64],
-    processed_at: &'m mut [u64],
-    in_flight: &'m mut u64,
-    pending_inject: &'m mut u64,
-    energy: &'m mut EnergyCounters,
-    fault: Option<FaultMasterView<'m>>,
-    /// Packet-id-indexed inject cycle table and the latency histogram.
-    lat: Option<(&'m mut Vec<u64>, &'m mut Histogram)>,
-    occupancy: Option<&'m mut SeriesHistogram>,
-    /// Telemetry activity bounds: (first_active, last_active) per router.
-    activity: Option<(&'m mut [u64], &'m mut [u64])>,
-}
-
-impl MasterFx<'_> {
-    /// The seed scheduler's drain bookkeeping for one bucket entry:
-    /// clear the `next_wake` stamp, dedup via `processed_at`, and stamp
-    /// the telemetry activity bounds (functions of `(router, c)` only).
-    /// Returns whether the entry should actually be serviced.
+    /// Drain bookkeeping for one bucket entry: clear the `next_wake` stamp
+    /// and dedup via `processed_at`. Returns whether the entry should
+    /// actually be serviced.
     #[inline]
     fn bookkeep(&mut self, ri: usize, c: u64) -> bool {
         if self.next_wake[ri] == c {
@@ -207,187 +114,33 @@ impl MasterFx<'_> {
             return false; // redundant wakeup for a cycle already serviced
         }
         self.processed_at[ri] = c;
-        if let Some((first, last)) = self.activity.as_mut() {
-            if first[ri] == NEVER {
-                first[ri] = c;
-            }
-            last[ri] = c;
-        }
         true
     }
-}
 
-impl FxSink for MasterFx<'_> {
+    /// Service router `r` at cycle `c`: telemetry tap, dead check,
+    /// injection, then port service rotated by the cycle number.
     #[inline]
-    fn wake(&mut self, router: u32, cycle: u64) {
-        wake_raw(self.wheel, self.next_wake, router, cycle);
-    }
-
-    #[inline]
-    fn injected(&mut self) {
-        *self.pending_inject -= 1;
-        *self.in_flight += 1;
-        self.energy.injections += 1;
-    }
-
-    #[inline]
-    fn ejected(&mut self) {
-        invariant!(
-            *self.in_flight > 0,
-            "flit conservation: eject with in_flight = 0"
-        );
-        *self.in_flight -= 1;
-        self.energy.ejections += 1;
-    }
-
-    #[inline]
-    fn traversal(&mut self) {
-        self.energy.router_traversals += 1;
-    }
-
-    #[inline]
-    fn hop(&mut self) {
-        self.energy.link_hops += 1;
-    }
-
-    #[inline]
-    fn occ_sample(&mut self, occ: u64) {
-        if let Some(h) = self.occupancy.as_mut() {
-            h.record(occ);
-        }
-    }
-
-    #[inline]
-    fn head_injected(&mut self, packet: u64, cycle: u64) {
-        if let Some((t0, _)) = self.lat.as_mut() {
-            let id = packet as usize;
-            if t0.len() <= id {
-                t0.resize(id + 1, NEVER);
+    fn service_entry(&mut self, r: u32, c: u64) {
+        let ri = r as usize;
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            if t.first_active[ri] == NEVER {
+                t.first_active[ri] = c;
             }
-            t0[id] = cycle;
+            t.last_active[ri] = c;
+            // Pre-service occupancy, sampled before the dead check.
+            t.occupancy.record(self.slab.occupancy(ri) as u64);
+        }
+        if self.faults.as_ref().is_some_and(|f| f.is_dead(r, c)) {
+            return; // a hard-killed router does nothing, forever
+        }
+        self.try_inject(r, c);
+        for k in 0..NUM_PORTS {
+            let p = (k + c as usize) % NUM_PORTS;
+            self.try_forward(r, p, c);
         }
     }
 
-    #[inline]
-    fn tail_ejected(&mut self, packet: u64, cycle: u64) {
-        if let Some((t0, h)) = self.lat.as_mut() {
-            if let Some(slot) = t0.get_mut(packet as usize) {
-                if *slot != NEVER {
-                    h.record(cycle - *slot);
-                    *slot = NEVER;
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn corrupted(&mut self) {
-        self.fault
-            .as_mut()
-            .expect("corruption implies faults")
-            .stats
-            .corrupted_flits += 1;
-    }
-
-    #[inline]
-    fn link_down_event(&mut self) {
-        self.fault
-            .as_mut()
-            .expect("outage implies faults")
-            .stats
-            .link_down_events += 1;
-    }
-
-    #[inline]
-    fn probe(&mut self) {
-        self.fault
-            .as_mut()
-            .expect("probe implies faults")
-            .stats
-            .probes += 1;
-    }
-
-    #[inline]
-    fn dropped_element(&mut self) {
-        self.fault
-            .as_mut()
-            .expect("drop implies faults")
-            .stats
-            .dropped_elements += 1;
-    }
-
-    fn nack(&mut self, router: u32, src: u32, packet: u64, payload: u64, cycle: u64) {
-        let fl = self.fault.as_mut().expect("corrupted implies faults");
-        fl.stats.nacks += 1;
-        if !fl.retransmit {
-            fl.stats.dropped_elements += 1;
-            return;
-        }
-        let attempts = fl.attempts.entry((src, packet)).or_insert(0);
-        if *attempts >= fl.max_retransmits {
-            fl.stats.dropped_elements += 1;
-            return;
-        }
-        *attempts += 1;
-        fl.stats.retransmits += 1;
-        fl.retx.push_back(Retransmit {
-            due: cycle + fl.nack_delay,
-            src,
-            packet: Packet::with_header(router, packet, vec![payload]),
-        });
-    }
-}
-
-impl MasterFx<'_> {
-    /// Replay one entry's deferred effects — the parallel commit step. The
-    /// within-entry interleaving of effect *kinds* is immaterial (each kind
-    /// targets disjoint master state; see `mesh/par.rs`), but wakes replay
-    /// in emission order and entries replay in service order.
-    pub(super) fn apply(&mut self, fx: &EntryFx) {
-        if let Some(occ) = fx.occ {
-            self.occ_sample(occ);
-        }
-        for _ in 0..fx.injected {
-            self.injected();
-        }
-        if let Some((packet, cycle)) = fx.head_injected {
-            self.head_injected(packet, cycle);
-        }
-        for _ in 0..fx.corrupted {
-            self.corrupted();
-        }
-        for _ in 0..fx.link_down_events {
-            self.link_down_event();
-        }
-        for _ in 0..fx.probes {
-            self.probe();
-        }
-        for _ in 0..fx.dropped_elements {
-            self.dropped_element();
-        }
-        if let Some(n) = &fx.nack {
-            self.nack(n.router, n.src, n.packet, n.payload, n.cycle);
-        }
-        if let Some((packet, cycle)) = fx.tail_ejected {
-            self.tail_ejected(packet, cycle);
-        }
-        for _ in 0..fx.ejected {
-            self.ejected();
-        }
-        for _ in 0..fx.traversals {
-            self.traversal();
-        }
-        for _ in 0..fx.hops {
-            self.hop();
-        }
-        for &(wr, wc) in &fx.wakes {
-            self.wake(wr, wc);
-        }
-    }
-}
-
-impl CoreView<'_> {
-    /// Mirror of the mesh's neighbour map.
+    /// The neighbour of `node` across `port`.
     #[inline]
     fn neighbor(&self, node: u32, port: Port) -> u32 {
         let t = &self.cfg.topology;
@@ -409,12 +162,11 @@ impl CoreView<'_> {
                 Port::Local => unreachable!("local has no neighbor"),
             }
         };
-        t.id(crate::topology::NodeCoord { x, y })
+        t.id(NodeCoord { x, y })
     }
 
     /// Route a head flit at `node` toward `dest`. The adaptive arm reads
-    /// only the candidate neighbours' *facing* input-port lengths — a
-    /// narrow, entry-owned projection under the wave independence rule.
+    /// the candidate neighbours' facing input-port lengths.
     #[inline]
     fn route(&self, node: u32, dest: u32) -> Port {
         if node == dest {
@@ -484,503 +236,232 @@ impl CoreView<'_> {
             (None, None, _) => unreachable!("handled by node == dest"),
         }
     }
-}
 
-/// Service router `r` at cycle `c`: telemetry tap, dead check, injection,
-/// then port service rotated by the cycle number. The seed scheduler's
-/// per-router step, verbatim — only the effect destination varies by sink.
-#[inline]
-pub(crate) fn service_entry<S: FxSink>(view: &CoreView<'_>, r: u32, c: u64, sink: &mut S) {
-    if view.tel_on {
-        // Pre-service occupancy, sampled before the dead check exactly as
-        // the seed scheduler's service loop did.
-        sink.occ_sample(view.slab.occupancy(r as usize) as u64);
-    }
-    if view.fault.as_ref().is_some_and(|f| f.is_dead(r, c)) {
-        return; // a hard-killed router does nothing, forever
-    }
-    try_inject(view, r, c, sink);
-    for k in 0..NUM_PORTS {
-        let p = (k + c as usize) % NUM_PORTS;
-        try_forward(view, r, p, c, sink);
-    }
-}
-
-fn try_inject<S: FxSink>(view: &CoreView<'_>, r: u32, c: u64, sink: &mut S) {
-    let ri = r as usize;
-    // Safety: entry `r` owns all `r`-indexed state for its wave.
-    let inject = unsafe { &mut *view.inject[ri].get() };
-    if inject.is_empty() {
-        return;
-    }
-    let last_inject = unsafe { &mut *view.last_inject[ri].get() };
-    if *last_inject == c {
-        sink.wake(r, c + 1);
-        return;
-    }
-    if !view.slab.has_space_depth(ri, LOCAL, view.cfg.buffer_depth) {
-        // Woken when the local input pops.
-        return;
-    }
-    let mut flit = inject.pop_front().expect("non-empty");
-    flit.src = r;
-    flit.ready_at = c + 1 + if flit.kind.is_head() { view.cfg.t_r } else { 0 };
-    let ready = flit.ready_at;
-    if view.latency_on && flit.kind.is_head() {
-        sink.head_injected(flit.packet, c);
-    }
-    view.slab.push_back(ri, LOCAL, flit);
-    invariant!(
-        view.slab.input_len(ri, LOCAL) <= view.cfg.buffer_depth,
-        "buffer bound: router {r} local input exceeds depth {} after inject",
-        view.cfg.buffer_depth
-    );
-    *last_inject = c;
-    sink.injected();
-    sink.wake(r, ready);
-    if !inject.is_empty() {
-        sink.wake(r, c + 1);
-    }
-}
-
-fn try_forward<S: FxSink>(view: &CoreView<'_>, r: u32, p: usize, c: u64, sink: &mut S) {
-    let ri = r as usize;
-    let popped_at = unsafe { *view.last_pop[ri * NUM_PORTS + p].get() };
-    if popped_at == c {
-        return; // this input already popped this cycle
-    }
-    let Some(head) = view.slab.front(ri, p) else {
-        return;
-    };
-    if head.ready_at > c {
-        sink.wake(r, head.ready_at);
-        return;
-    }
-    // Output port: continuation of an open wormhole, or fresh route.
-    let out = match view.slab.route(ri, p) {
-        Some(o) => Port::from_index(o as usize),
-        None => {
-            debug_assert!(head.kind.is_head(), "body flit without a route");
-            view.route(r, head.dest)
-        }
-    };
-    let o = out as usize;
-    if !view.slab.output_available(ri, o, p, c) {
-        // Channel owned by another packet (woken on release) or used
-        // this cycle (retry next).
-        if view.slab.last_used(ri, o) == c {
-            sink.wake(r, c + 1);
-        }
-        return;
-    }
-
-    if out == Port::Local {
-        eject(view, r, p, c, sink);
-        return;
-    }
-
-    let n = view.neighbor(r, out);
-    let q = out.opposite() as usize;
-    if let Some(f) = &view.fault {
-        if f.is_dead(n, c) {
-            // Dead neighbour: hold the flit and re-probe. Nothing will
-            // ever answer, so this is a livelock by design — the
-            // watchdog converts it into a structured diagnostic.
-            sink.probe();
-            sink.wake(r, c + PROBE_INTERVAL);
+    fn try_inject(&mut self, r: u32, c: u64) {
+        let ri = r as usize;
+        if self.inject[ri].is_empty() {
             return;
         }
-        let until = f.down_until(ri, o);
-        if until > c {
-            // Link still down from an earlier outage; resume then.
-            sink.wake(r, until);
+        if self.last_inject[ri] == c {
+            self.wake(r, c + 1);
             return;
         }
-    }
-    if !view
-        .slab
-        .has_space_depth(n as usize, q, view.cfg.buffer_depth)
-    {
-        // Woken when (n, q) pops.
-        return;
-    }
-    if let Some(f) = &view.fault {
-        // One outage trial per committed traversal of link (r, out).
-        if f.link_fire(ri, o) {
-            let until = c + f.link_down_cycles;
-            f.set_down_until(ri, o, until);
-            sink.link_down_event();
-            sink.wake(r, until);
+        if !self.slab.has_space_depth(ri, LOCAL, self.cfg.buffer_depth) {
+            // Woken when the local input pops.
             return;
+        }
+        let mut flit = self.inject[ri].pop_front().expect("non-empty");
+        flit.src = r;
+        flit.ready_at = c + 1 + if flit.kind.is_head() { self.cfg.t_r } else { 0 };
+        let ready = flit.ready_at;
+        if self.latency.is_some() && flit.kind.is_head() {
+            self.inject_cycle.insert(flit.packet, c);
+        }
+        self.slab.push_back(ri, LOCAL, flit);
+        invariant!(
+            self.slab.input_len(ri, LOCAL) <= self.cfg.buffer_depth,
+            "buffer bound: router {r} local input exceeds depth {} after inject",
+            self.cfg.buffer_depth
+        );
+        self.last_inject[ri] = c;
+        self.pending_inject -= 1;
+        self.in_flight += 1;
+        self.energy.injections += 1;
+        self.wake(r, ready);
+        if !self.inject[ri].is_empty() {
+            self.wake(r, c + 1);
         }
     }
 
-    // Commit the move.
-    let mut flit = view.slab.pop_front(ri, p).expect("head");
-    after_pop(view, r, p, c, sink);
-    if let Some(f) = &view.fault {
-        // Payload corruption in flight, modelled as a failed-ECC flag
-        // (header flits are protected: corrupting routing state would
-        // misdeliver rather than degrade).
-        if !matches!(flit.kind, FlitKind::Head) && f.corrupt_fire(ri) {
-            flit.corrupted = true;
-            sink.corrupted();
+    fn try_forward(&mut self, r: u32, p: usize, c: u64) {
+        let ri = r as usize;
+        if self.last_pop[ri * NUM_PORTS + p] == c {
+            return; // this input already popped this cycle
         }
-    }
-    flit.ready_at = c + 1 + if flit.kind.is_head() { view.cfg.t_r } else { 0 };
-    let ready = flit.ready_at;
-    update_channel_state(view, r, p, o, &flit, c, sink);
-    // Safety: narrow projection of the facing port only (wave rule).
-    view.slab.push_back(n as usize, q, flit);
-    invariant!(
-        view.slab.input_len(n as usize, q) <= view.cfg.buffer_depth,
-        "buffer bound: router {n} input port {q} exceeds depth {} after forward",
-        view.cfg.buffer_depth
-    );
-    sink.traversal();
-    sink.hop();
-    unsafe {
-        *view.router_forwards[ri].get() += 1;
-    }
-    sink.wake(n, ready);
-}
-
-fn eject<S: FxSink>(view: &CoreView<'_>, r: u32, p: usize, c: u64, sink: &mut S) {
-    let ri = r as usize;
-    if let Some(slot) = view.memif_slot[ri] {
-        // Safety: a memif belongs to exactly one router.
-        let m = unsafe { &mut *view.memifs[slot as usize].get() };
-        if !m.can_accept(c) {
-            sink.wake(r, m_free_at(m, c));
+        let Some(head) = self.slab.front(ri, p) else {
+            return;
+        };
+        if head.ready_at > c {
+            self.wake(r, head.ready_at);
             return;
         }
-        let flit = view.slab.pop_front(ri, p).expect("head");
-        after_pop(view, r, p, c, sink);
-        update_channel_state(view, r, p, LOCAL, &flit, c, sink);
-        if flit.corrupted {
-            // Poisoned element: charge port timing, refuse staging, NACK.
-            m.accept_nack(c, &flit);
-            sink.nack(r, flit.src, flit.packet, flit.payload, c);
+        // Output port: continuation of an open wormhole, or fresh route.
+        let out = match self.slab.route(ri, p) {
+            Some(o) => Port::from_index(o as usize),
+            None => {
+                debug_assert!(head.kind.is_head(), "body flit without a route");
+                self.route(r, head.dest)
+            }
+        };
+        let o = out as usize;
+        if !self.slab.output_available(ri, o, p, c) {
+            // Channel owned by another packet (woken on release) or used
+            // this cycle (retry next).
+            if self.slab.last_used(ri, o) == c {
+                self.wake(r, c + 1);
+            }
+            return;
+        }
+
+        if out == Port::Local {
+            self.eject(r, p, c);
+            return;
+        }
+
+        let n = self.neighbor(r, out);
+        let q = out.opposite() as usize;
+        if let Some(f) = self.faults.as_mut() {
+            if f.is_dead(n, c) {
+                // Dead neighbour: hold the flit and re-probe. Nothing will
+                // ever answer, so this is a livelock by design — the
+                // watchdog converts it into a structured diagnostic.
+                f.stats.probes += 1;
+                self.wake(r, c + PROBE_INTERVAL);
+                return;
+            }
+            let until = f.down_until(ri, o);
+            if until > c {
+                // Link still down from an earlier outage; resume then.
+                self.wake(r, until);
+                return;
+            }
+        }
+        if !self
+            .slab
+            .has_space_depth(n as usize, q, self.cfg.buffer_depth)
+        {
+            // Woken when (n, q) pops.
+            return;
+        }
+        if let Some(f) = self.faults.as_mut() {
+            // One outage trial per committed traversal of link (r, out).
+            if f.link_fire(ri, o) {
+                let until = f.take_down(ri, o, c);
+                self.wake(r, until);
+                return;
+            }
+        }
+
+        // Commit the move.
+        let mut flit = self.slab.pop_front(ri, p).expect("head");
+        self.after_pop(r, p, c);
+        if let Some(f) = self.faults.as_mut() {
+            // Payload corruption in flight, modelled as a failed-ECC flag
+            // (header flits are protected: corrupting routing state would
+            // misdeliver rather than degrade).
+            if !matches!(flit.kind, FlitKind::Head) && f.corrupt_fire(ri) {
+                flit.corrupted = true;
+                f.stats.corrupted_flits += 1;
+            }
+        }
+        flit.ready_at = c + 1 + if flit.kind.is_head() { self.cfg.t_r } else { 0 };
+        let ready = flit.ready_at;
+        self.update_channel_state(r, p, o, flit.kind, c);
+        self.slab.push_back(n as usize, q, flit);
+        invariant!(
+            self.slab.input_len(n as usize, q) <= self.cfg.buffer_depth,
+            "buffer bound: router {n} input port {q} exceeds depth {} after forward",
+            self.cfg.buffer_depth
+        );
+        self.energy.router_traversals += 1;
+        self.energy.link_hops += 1;
+        self.router_forwards[ri] += 1;
+        self.wake(n, ready);
+    }
+
+    fn eject(&mut self, r: u32, p: usize, c: u64) {
+        let ri = r as usize;
+        let memif = self.memif_slot[ri].map(|slot| slot as usize);
+        if let Some(slot) = memif {
+            if !self.memifs[slot].can_accept(c) {
+                let free = m_free_at(&self.memifs[slot], c);
+                self.wake(r, free);
+                return;
+            }
+        }
+        let flit = self.slab.pop_front(ri, p).expect("head");
+        self.after_pop(r, p, c);
+        self.update_channel_state(r, p, LOCAL, flit.kind, c);
+        if let Some(slot) = memif {
+            if flit.corrupted {
+                // Poisoned element: charge port timing, refuse staging, NACK.
+                self.memifs[slot].accept_nack(c, &flit);
+                self.faults
+                    .as_mut()
+                    .expect("corrupted implies faults")
+                    .nack(r, flit.src, flit.packet, flit.payload, c);
+            } else {
+                self.memifs[slot].accept(c, &flit);
+            }
+        } else if !matches!(flit.kind, FlitKind::Head) {
+            // Processor sink: always ready, one flit per cycle (enforced by
+            // the output channel's last_used stamp).
+            if flit.corrupted {
+                // Sinks detect but do not NACK (the paper's retransmit sits
+                // at the memory interface); the word is lost.
+                self.faults
+                    .as_mut()
+                    .expect("drop implies faults")
+                    .stats
+                    .dropped_elements += 1;
+            } else {
+                self.sink_delivered[ri] += 1;
+                self.sink_last_cycle[ri] = c;
+                if self.collect_sink_words {
+                    self.sink_words[ri].push(flit.payload);
+                }
+            }
+        }
+        if flit.kind.is_tail() {
+            if let Some(h) = self.latency.as_mut() {
+                if let Some(t0) = self.inject_cycle.remove(&flit.packet) {
+                    h.record(c - t0);
+                }
+            }
+        }
+        invariant!(
+            self.in_flight > 0,
+            "flit conservation: eject with in_flight = 0"
+        );
+        self.in_flight -= 1;
+        self.energy.ejections += 1;
+        self.energy.router_traversals += 1;
+        self.router_forwards[ri] += 1;
+    }
+
+    /// Book-keeping after popping from input (r, p) at cycle c: stamp the
+    /// pop, wake the feeder (space freed) and ourselves (next flit).
+    fn after_pop(&mut self, r: u32, p: usize, c: u64) {
+        let ri = r as usize;
+        self.last_pop[ri * NUM_PORTS + p] = c;
+        if self.slab.input_len(ri, p) > 0 {
+            self.wake(r, c + 1);
+        }
+        if p == LOCAL {
+            // Feeder is the local injector.
+            if !self.inject[ri].is_empty() {
+                self.wake(r, c + 1);
+            }
         } else {
-            m.accept(c, &flit);
+            let feeder = self.neighbor(r, Port::from_index(p));
+            self.wake(feeder, c + 1);
         }
-        if view.latency_on && flit.kind.is_tail() {
-            sink.tail_ejected(flit.packet, c);
-        }
-        sink.ejected();
-        sink.traversal();
-        unsafe {
-            *view.router_forwards[ri].get() += 1;
-        }
-    } else {
-        // Processor sink: always ready, one flit per cycle (enforced by
-        // the output channel's last_used stamp).
-        let flit = view.slab.pop_front(ri, p).expect("head");
-        after_pop(view, r, p, c, sink);
-        update_channel_state(view, r, p, LOCAL, &flit, c, sink);
-        let is_payload = !matches!(flit.kind, FlitKind::Head);
-        if is_payload && flit.corrupted {
-            // Sinks detect but do not NACK (the paper's retransmit sits
-            // at the memory interface); the word is lost.
-            sink.dropped_element();
-        } else if is_payload {
-            // Safety: sink state is own-router-indexed.
-            unsafe {
-                *view.sink_delivered[ri].get() += 1;
-                *view.sink_last_cycle[ri].get() = c;
-                if view.collect_sink_words {
-                    (*view.sink_words[ri].get()).push(flit.payload);
-                }
-            }
-        }
-        if view.latency_on && flit.kind.is_tail() {
-            sink.tail_ejected(flit.packet, c);
-        }
-        sink.ejected();
-        sink.traversal();
-        unsafe {
-            *view.router_forwards[ri].get() += 1;
-        }
-    }
-}
-
-/// Book-keeping after popping from input (r, p) at cycle c: stamp the
-/// pop, wake the feeder (space freed) and ourselves (next flit).
-fn after_pop<S: FxSink>(view: &CoreView<'_>, r: u32, p: usize, c: u64, sink: &mut S) {
-    let ri = r as usize;
-    unsafe {
-        *view.last_pop[ri * NUM_PORTS + p].get() = c;
-    }
-    if view.slab.input_len(ri, p) > 0 {
-        sink.wake(r, c + 1);
-    }
-    if p == LOCAL {
-        // Feeder is the local injector.
-        let more = unsafe { !(*view.inject[ri].get()).is_empty() };
-        if more {
-            sink.wake(r, c + 1);
-        }
-    } else {
-        sink.wake(view.neighbor(r, Port::from_index(p)), c + 1);
-    }
-}
-
-/// Update wormhole ownership and per-input route state for a forwarded
-/// flit, and stamp the output as used this cycle.
-fn update_channel_state<S: FxSink>(
-    view: &CoreView<'_>,
-    r: u32,
-    p: usize,
-    o: usize,
-    flit: &Flit,
-    c: u64,
-    sink: &mut S,
-) {
-    let ri = r as usize;
-    view.slab.set_last_used(ri, o, c);
-    if flit.kind.is_head() {
-        view.slab.set_owner_raw(ri, o, p as u8);
-        view.slab.set_route_raw(ri, p, o as u8);
-    }
-    if flit.kind.is_tail() {
-        view.slab.set_owner_raw(ri, o, super::soa::NO_PORT);
-        view.slab.set_route_raw(ri, p, super::soa::NO_PORT);
-        // Channel released: contenders at this router may proceed.
-        sink.wake(r, c + 1);
-    }
-}
-
-impl Mesh {
-    /// Build the per-cycle execution views: the shared entry-owned
-    /// [`CoreView`] and the exclusive master sink. Disjoint field borrows —
-    /// the split that makes one service implementation serve both paths.
-    fn exec_views(&mut self) -> (CoreView<'_>, MasterFx<'_>) {
-        let Mesh {
-            cfg,
-            slab,
-            inject,
-            last_inject,
-            last_pop,
-            memif_slot,
-            memifs,
-            sink_delivered,
-            sink_last_cycle,
-            sink_words,
-            collect_sink_words,
-            inject_cycle,
-            latency,
-            wheel,
-            next_wake,
-            processed_at,
-            in_flight,
-            pending_inject,
-            energy,
-            router_forwards,
-            faults,
-            telemetry,
-            ..
-        } = self;
-        let (fault_hot, fault_master) = match faults {
-            Some(fl) => {
-                let (hot, master) = fl.split_views();
-                (
-                    Some(FaultHotView {
-                        seed: hot.seed,
-                        corrupt_rate: hot.corrupt_rate,
-                        link_down_rate: hot.link_down_rate,
-                        link_down_cycles: hot.link_down_cycles,
-                        corrupt_trials: SyncCell::from_mut(&mut hot.corrupt_trials),
-                        link_trials: SyncCell::from_mut(&mut hot.link_trials),
-                        down_until: SyncCell::from_mut(&mut hot.down_until),
-                        killed_at: &hot.killed_at,
-                    }),
-                    Some(master),
-                )
-            }
-            None => (None, None),
-        };
-        let lat = match (inject_cycle.as_mut(), latency.as_mut()) {
-            (Some(t0), Some(h)) => Some((t0, h)),
-            _ => None,
-        };
-        let latency_on = lat.is_some();
-        let (occupancy, activity) = match telemetry.as_mut() {
-            Some(t) => (
-                Some(&mut t.occupancy),
-                Some((t.first_active.as_mut_slice(), t.last_active.as_mut_slice())),
-            ),
-            None => (None, None),
-        };
-        let tel_on = occupancy.is_some();
-        (
-            CoreView {
-                cfg,
-                slab: slab.view(),
-                inject: SyncCell::from_mut(inject),
-                last_inject: SyncCell::from_mut(last_inject),
-                last_pop: SyncCell::from_mut(last_pop),
-                memif_slot,
-                memifs: SyncCell::from_mut(memifs),
-                sink_delivered: SyncCell::from_mut(sink_delivered),
-                sink_last_cycle: SyncCell::from_mut(sink_last_cycle),
-                sink_words: SyncCell::from_mut(sink_words),
-                router_forwards: SyncCell::from_mut(router_forwards),
-                collect_sink_words: *collect_sink_words,
-                fault: fault_hot,
-                latency_on,
-                tel_on,
-            },
-            MasterFx {
-                wheel,
-                next_wake,
-                processed_at,
-                in_flight,
-                pending_inject,
-                energy,
-                fault: fault_master,
-                lat,
-                occupancy,
-                activity,
-            },
-        )
     }
 
-    /// The unified cycle loop: sequential when `threads == 1`, otherwise
-    /// the deterministic epoch-parallel scheduler — same service code, same
-    /// observables, bit for bit (DESIGN.md §11). There is no configuration
-    /// fallback: faults, telemetry and latency tracking all run on this
-    /// loop at any thread count.
-    pub(super) fn run_core(&mut self) -> Result<MeshRunResult, MeshError> {
-        let n = self.cfg.topology.nodes();
-        self.run_warnings.clear();
-        let requested = self.cfg.threads.max(1);
-        let threads = if requested > n {
-            // More workers than routers can never all be busy; clamp and
-            // say so in the run summary rather than silently degrading.
-            self.run_warnings
-                .push(super::RunWarning::ThreadsExceedNodes {
-                    requested,
-                    nodes: n,
-                });
-            n
-        } else {
-            requested
-        };
-        let pool = (threads > 1).then(|| EpochPool::new(threads));
-        let threads = pool.as_ref().map_or(1, EpochPool::threads);
-        let arrivals = Arrivals::new();
-        let mut planner = WavePlanner::new(n);
-        let mut service: Vec<u32> = Vec::new();
-        let mut fx: Vec<EntryFx> = Vec::new();
-        let mut audit_countdown = super::AUDIT_INTERVAL;
-        loop {
-            // Next service cycle: earliest wheel wakeup or NACK-retransmit
-            // turnaround, whichever comes first.
-            let mut next = self.wheel.next_cycle();
-            if let Some(due) = self.faults.as_ref().and_then(|fl| fl.next_retx_due()) {
-                next = Some(next.map_or(due, |n| n.min(due)));
-            }
-            let Some(c) = next else { break };
-            // Cooperative cancellation: one branch per serviced cycle when
-            // no interrupt is installed. Sits on the master loop, so it
-            // covers the sequential path and the parallel waves alike —
-            // a wave is never torn mid-cycle.
-            if let Some(intr) = self.interrupt.as_mut() {
-                if let Some(cause) = intr.check(c) {
-                    return Err(MeshError::Cancelled {
-                        at_cycle: c,
-                        cause,
-                        in_flight: self.in_flight,
-                        pending_inject: self.pending_inject,
-                        energy: self.energy,
-                    });
-                }
-            }
-            if c > self.cfg.max_cycles {
-                return Err(MeshError::CycleLimit {
-                    limit: self.cfg.max_cycles,
-                });
-            }
-            debug_assert!(c >= self.now, "wakeup in the past");
-            self.now = c;
-            self.wheel.advance_to(c);
-            self.drain_due_retransmits(c);
-            // Drain the bucket for cycle `c` in insertion order. Every wake
-            // pushed while processing cycle `c` targets a cycle ≥ c + 1, so
-            // the bucket cannot grow (or be reused — c + WINDOW is spilled
-            // to the overflow heap) underneath this loop; take it out
-            // wholesale and hand its allocation back afterwards.
-            let b = (c % WakeWheel::WINDOW) as usize;
-            let mut ids = std::mem::take(&mut self.wheel.buckets[b]);
-            self.wheel.bucket_pending -= ids.len() as u64;
-            {
-                // Dense cycles fan out across the pool; sparse ones (the
-                // long corner-bound drain tail) run inline on the master at
-                // exactly the sequential scheduler's cost — no planning, no
-                // effect buffering, no barriers. Identical results either
-                // way; the gate only trades wall clock. (The pre-dedup
-                // bucket length is a fine dispatch proxy: redundant wakes
-                // are rare and the threshold is a heuristic.)
-                let dispatch = threads > 1 && ids.len() >= threads * DISPATCH_GRAIN;
-                let (view, mut master) = self.exec_views();
-                if dispatch {
-                    // Bookkeeping prefix of the seed scheduler's drain, in
-                    // bucket order. Hoisting it before servicing is exact —
-                    // nothing in a cycle's processing reads these arrays
-                    // (see mesh/par.rs).
-                    service.clear();
-                    for &r in &ids {
-                        if master.bookkeep(r as usize, c) {
-                            service.push(r);
-                        }
-                    }
-                    if fx.len() < service.len() {
-                        fx.resize_with(service.len(), EntryFx::default);
-                    }
-                    for f in &mut fx[..service.len()] {
-                        f.reset();
-                    }
-                    let waves = planner.plan(&view.cfg.topology, &service, c);
-                    run_waves(
-                        pool.as_ref().expect("dispatch implies pool"),
-                        &arrivals,
-                        threads,
-                        &view,
-                        &service,
-                        waves,
-                        &mut fx[..service.len()],
-                        c,
-                    );
-                    // Commit deferred effects in service (= seed) order.
-                    for f in &fx[..service.len()] {
-                        master.apply(f);
-                    }
-                } else {
-                    // Single fused pass, exactly the seed drain loop.
-                    for &r in &ids {
-                        if master.bookkeep(r as usize, c) {
-                            service_entry(&view, r, c, &mut master);
-                        }
-                    }
-                }
-            }
-            ids.clear();
-            debug_assert!(
-                self.wheel.buckets[b].is_empty(),
-                "same-cycle wake pushed while draining"
-            );
-            self.wheel.buckets[b] = ids;
-            if sim_core::invariants::ENABLED {
-                audit_countdown -= 1;
-                if audit_countdown == 0 {
-                    audit_countdown = super::AUDIT_INTERVAL;
-                    self.check_flit_conservation();
-                }
-            }
-            if self.faults.is_some() {
-                self.watchdog_check(c)?;
-            }
+    /// Update wormhole ownership and per-input route state for a forwarded
+    /// flit of `kind`, and stamp the output as used this cycle.
+    fn update_channel_state(&mut self, r: u32, p: usize, o: usize, kind: FlitKind, c: u64) {
+        let ri = r as usize;
+        self.slab.set_last_used(ri, o, c);
+        if kind.is_head() {
+            self.slab.set_owner_raw(ri, o, p as u8);
+            self.slab.set_route_raw(ri, p, o as u8);
         }
-        self.finish()
+        if kind.is_tail() {
+            self.slab.set_owner_raw(ri, o, NO_PORT);
+            self.slab.set_route_raw(ri, p, NO_PORT);
+            // Channel released: contenders at this router may proceed.
+            self.wake(r, c + 1);
+        }
     }
 }

@@ -18,24 +18,9 @@
 //! adjacent, and the flit slots packed at `cap` per input port where `cap`
 //! is the depth rounded up to a power of two (minimum 2). `Option<u8>`
 //! fields are packed as `0xFF = None`, `last_used` keeps the
-//! `u64::MAX = never` convention of [`crate::router::OutputPort`].
-//!
-//! [`SlabView`] is the shared-slice form handed to the epoch-parallel
-//! scheduler: the same arrays behind [`sim_core::parallel::SyncCell`], so
-//! concurrent wave entries can mutate *disjoint* routers without locks.
-//! The sequential path uses the identical view (built from `&mut self`),
-//! keeping one implementation of every port operation.
-//!
-//! # Safety contract
-//!
-//! `SlabView` methods are safe to *call* but rely on the scheduler-level
-//! invariant proved in `mesh/par.rs`: within one wave, entries touch
-//! disjoint routers' input state and only their neighbours' facing input
-//! ports, and no two conflicting entries share a wave. All slab accessors
-//! take `(router, port)` coordinates, so the data-race freedom argument is
-//! exactly the wave-independence argument.
-
-use sim_core::parallel::SyncCell;
+//! `u64::MAX = never` convention of [`crate::router::OutputPort`]. All
+//! accessors take `(router, port)` coordinates; reads borrow `&self`,
+//! writes `&mut self`.
 
 use crate::flit::{Flit, FlitKind};
 use crate::router::NUM_PORTS;
@@ -101,29 +86,6 @@ impl RouterSlab {
         self.cap
     }
 
-    /// The shared-slice view; the only way state is read or written during
-    /// a run (sequential and parallel alike).
-    pub fn view(&mut self) -> SlabView<'_> {
-        SlabView {
-            cap: self.cap,
-            flits: SyncCell::from_mut(&mut self.flits),
-            head: SyncCell::from_mut(&mut self.head),
-            len: SyncCell::from_mut(&mut self.len),
-            route: SyncCell::from_mut(&mut self.route),
-            owner: SyncCell::from_mut(&mut self.owner),
-            last_used: SyncCell::from_mut(&mut self.last_used),
-        }
-    }
-
-    /// Buffered flits across all of router `r`'s inputs (master-side, for
-    /// audits and diagnostics).
-    pub fn occupancy(&self, r: usize) -> usize {
-        self.len[r * NUM_PORTS..(r + 1) * NUM_PORTS]
-            .iter()
-            .map(|&l| l as usize)
-            .sum()
-    }
-
     /// True when router `r` buffers nothing.
     pub fn is_empty(&self, r: usize) -> bool {
         self.occupancy(r) == 0
@@ -133,24 +95,7 @@ impl RouterSlab {
     pub fn routers(&self) -> usize {
         self.n
     }
-}
 
-/// Shared-slice window over a [`RouterSlab`].
-///
-/// Copyable so each wave entry captures it by value; see the module-level
-/// safety contract.
-#[derive(Clone, Copy)]
-pub(crate) struct SlabView<'a> {
-    cap: usize,
-    flits: &'a [SyncCell<Flit>],
-    head: &'a [SyncCell<u32>],
-    len: &'a [SyncCell<u32>],
-    route: &'a [SyncCell<u8>],
-    owner: &'a [SyncCell<u8>],
-    last_used: &'a [SyncCell<u64>],
-}
-
-impl SlabView<'_> {
     #[inline]
     fn port(r: usize, p: usize) -> usize {
         debug_assert!(p < NUM_PORTS);
@@ -160,7 +105,13 @@ impl SlabView<'_> {
     /// Buffered flit count of input `p` of router `r`.
     #[inline]
     pub fn input_len(&self, r: usize, p: usize) -> usize {
-        unsafe { *self.len[Self::port(r, p)].get() as usize }
+        self.len[Self::port(r, p)] as usize
+    }
+
+    /// Ring slot holding the `k`-th buffered flit of port index `i`.
+    #[inline]
+    fn slot(&self, i: usize, k: usize) -> usize {
+        i * self.cap + ((self.head[i] as usize + k) & (self.cap - 1))
     }
 
     /// Oldest buffered flit of input `p` of router `r`, if any (copied —
@@ -168,88 +119,70 @@ impl SlabView<'_> {
     #[inline]
     pub fn front(&self, r: usize, p: usize) -> Option<Flit> {
         let i = Self::port(r, p);
-        unsafe {
-            let len = *self.len[i].get();
-            if len == 0 {
-                return None;
-            }
-            let head = *self.head[i].get();
-            let slot = i * self.cap + (head as usize & (self.cap - 1));
-            Some(*self.flits[slot].get())
-        }
+        (self.len[i] > 0).then(|| self.flits[self.slot(i, 0)])
     }
 
     /// Append a flit to input `p` of router `r`. Panics if the ring's
     /// physical capacity is exceeded (the mesh checks logical space first,
     /// exactly as it did against [`crate::router::FlitRing`]).
     #[inline]
-    pub fn push_back(&self, r: usize, p: usize, flit: Flit) {
+    pub fn push_back(&mut self, r: usize, p: usize, flit: Flit) {
         let i = Self::port(r, p);
-        unsafe {
-            let len = &mut *self.len[i].get();
-            assert!((*len as usize) < self.cap, "input ring overflow");
-            let head = *self.head[i].get();
-            let slot = i * self.cap + ((head as usize + *len as usize) & (self.cap - 1));
-            *self.flits[slot].get() = flit;
-            *len += 1;
-        }
+        let len = self.len[i] as usize;
+        assert!(len < self.cap, "input ring overflow");
+        let slot = self.slot(i, len);
+        self.flits[slot] = flit;
+        self.len[i] += 1;
     }
 
     /// Remove and return the oldest buffered flit of input `p` of router
     /// `r`.
     #[inline]
-    pub fn pop_front(&self, r: usize, p: usize) -> Option<Flit> {
+    pub fn pop_front(&mut self, r: usize, p: usize) -> Option<Flit> {
+        let flit = self.front(r, p)?;
         let i = Self::port(r, p);
-        unsafe {
-            let len = &mut *self.len[i].get();
-            if *len == 0 {
-                return None;
-            }
-            let head = &mut *self.head[i].get();
-            let slot = i * self.cap + (*head as usize & (self.cap - 1));
-            *head = head.wrapping_add(1);
-            *len -= 1;
-            Some(*self.flits[slot].get())
-        }
+        self.head[i] = self.head[i].wrapping_add(1);
+        self.len[i] -= 1;
+        Some(flit)
     }
 
     /// Assigned output of input `p` of router `r`.
     #[inline]
     pub fn route(&self, r: usize, p: usize) -> Option<u8> {
-        let v = unsafe { *self.route[Self::port(r, p)].get() };
+        let v = self.route[Self::port(r, p)];
         (v != NO_PORT).then_some(v)
     }
 
     /// Assign (or clear, with `NO_PORT`) the route of input `p`.
     #[inline]
-    pub fn set_route_raw(&self, r: usize, p: usize, v: u8) {
-        unsafe { *self.route[Self::port(r, p)].get() = v }
+    pub fn set_route_raw(&mut self, r: usize, p: usize, v: u8) {
+        self.route[Self::port(r, p)] = v;
     }
 
     /// Owning input of output `o` of router `r` (the hot path reads it
-    /// only through [`SlabView::output_available`]).
+    /// only through [`RouterSlab::output_available`]).
     #[cfg(test)]
     pub fn owner(&self, r: usize, o: usize) -> Option<u8> {
-        let v = unsafe { *self.owner[Self::port(r, o)].get() };
+        let v = self.owner[Self::port(r, o)];
         (v != NO_PORT).then_some(v)
     }
 
     /// Set (or clear, with `NO_PORT`) the owner of output `o`.
     #[inline]
-    pub fn set_owner_raw(&self, r: usize, o: usize, v: u8) {
-        unsafe { *self.owner[Self::port(r, o)].get() = v }
+    pub fn set_owner_raw(&mut self, r: usize, o: usize, v: u8) {
+        self.owner[Self::port(r, o)] = v;
     }
 
     /// Last-forward stamp of output `o` of router `r`.
     #[inline]
     pub fn last_used(&self, r: usize, o: usize) -> u64 {
-        unsafe { *self.last_used[Self::port(r, o)].get() }
+        self.last_used[Self::port(r, o)]
     }
 
     /// Stamp output `o` as used at `cycle`.
     #[inline]
-    pub fn set_last_used(&self, r: usize, o: usize, cycle: u64) {
-        unsafe { *self.last_used[Self::port(r, o)].get() = cycle }
+    pub fn set_last_used(&mut self, r: usize, o: usize, cycle: u64) {
+        self.last_used[Self::port(r, o)] = cycle;
     }
 
     /// Whether input `p` of router `r` can accept another flit under a
@@ -266,18 +199,18 @@ impl SlabView<'_> {
     #[inline]
     pub fn output_available(&self, r: usize, o: usize, p: usize, cycle: u64) -> bool {
         let i = Self::port(r, o);
-        unsafe {
-            let owner = *self.owner[i].get();
-            let owned_ok = owner == NO_PORT || owner as usize == p;
-            let last = *self.last_used[i].get();
-            owned_ok && (last == NEVER_USED || last < cycle)
-        }
+        let owner = self.owner[i];
+        let last = self.last_used[i];
+        (owner == NO_PORT || owner as usize == p) && (last == NEVER_USED || last < cycle)
     }
 
     /// Buffered flits across all of router `r`'s inputs.
     #[inline]
     pub fn occupancy(&self, r: usize) -> usize {
-        (0..NUM_PORTS).map(|p| self.input_len(r, p)).sum()
+        self.len[r * NUM_PORTS..(r + 1) * NUM_PORTS]
+            .iter()
+            .map(|&l| l as usize)
+            .sum()
     }
 }
 
@@ -303,8 +236,7 @@ mod tests {
 
     #[test]
     fn fifo_order_and_wraparound_match_flit_ring() {
-        let mut slab = RouterSlab::new(2, 2);
-        let v = slab.view();
+        let mut v = RouterSlab::new(2, 2);
         let mut next = 0u64;
         let mut expect = 0u64;
         // Push/pop far past the ring capacity so the head wraps, on a
@@ -324,14 +256,13 @@ mod tests {
         }
         // Router 0 was never touched.
         assert_eq!(v.input_len(0, 3), 0);
-        assert!(slab.is_empty(0));
+        assert!(v.is_empty(0));
     }
 
     #[test]
     fn output_availability_matches_router_semantics() {
-        let mut slab = RouterSlab::new(1, 2);
+        let mut v = RouterSlab::new(1, 2);
         let mut reference = Router::default();
-        let v = slab.view();
         // Fresh output: available to anyone.
         assert!(v.output_available(0, 2, 0, 10));
         assert!(reference.output_available(2, 0, 10));
@@ -362,8 +293,7 @@ mod tests {
 
     #[test]
     fn route_and_owner_pack_none_as_sentinel() {
-        let mut slab = RouterSlab::new(3, 2);
-        let v = slab.view();
+        let mut v = RouterSlab::new(3, 2);
         assert_eq!(v.route(2, 4), None);
         v.set_route_raw(2, 4, 2);
         assert_eq!(v.route(2, 4), Some(2));
@@ -378,13 +308,11 @@ mod tests {
     #[test]
     fn occupancy_sums_all_inputs() {
         let mut slab = RouterSlab::new(2, 4);
-        let v = slab.view();
-        v.push_back(1, 0, some_flit(0));
-        v.push_back(1, 2, some_flit(1));
-        v.push_back(1, 2, some_flit(2));
-        assert_eq!(v.occupancy(1), 3);
-        assert_eq!(v.occupancy(0), 0);
+        slab.push_back(1, 0, some_flit(0));
+        slab.push_back(1, 2, some_flit(1));
+        slab.push_back(1, 2, some_flit(2));
         assert_eq!(slab.occupancy(1), 3);
+        assert_eq!(slab.occupancy(0), 0);
         assert!(!slab.is_empty(1));
     }
 }

@@ -43,8 +43,8 @@ pub struct Topology {
     /// Memory interface placement.
     pub memifs: MemifPlacement,
     /// Wraparound links in both dimensions (torus). Affects hop
-    /// distances, routing, and the parallel scheduler's adjacency; the
-    /// node-id ↔ coordinate mapping is unchanged.
+    /// distances and routing; the node-id ↔ coordinate mapping is
+    /// unchanged.
     pub torus: bool,
 }
 

@@ -301,7 +301,7 @@ impl BusSim {
         let mut any = false;
 
         // Pre-schedule terminus arrivals for every owned slot as modulations
-        // resolve. Arrivals strictly follow their modulation in time.
+        // resolve. Each arrival strictly follows its modulation in time.
         let mut pending_arrivals: Vec<(Time, u64)> = Vec::new();
         while let Some(ev) = q.pop() {
             match ev.payload {

@@ -141,11 +141,9 @@ fn mix64(mut z: u64) -> u64 {
 /// Unlike [`FaultSite`] (a stateful RNG stream whose draw *order* defines
 /// the outcome sequence), this is a pure function of `(seed, site, trial)`
 /// — the outcome of one trial is independent of when, where, or in what
-/// order any other trial is evaluated. That makes it the primitive for
-/// parallel fault evaluation: each site keeps only a trial counter, sites
-/// advance their counters independently on different threads, and the
-/// fault pattern is still a deterministic function of the seed (identical
-/// between sequential and parallel schedulers by construction).
+/// order any other trial is evaluated. Each site keeps only a trial
+/// counter, and the fault pattern is a deterministic function of the seed
+/// and of the traffic each site sees, whatever order sites are visited in.
 ///
 /// `rate == 0` fires nothing (the safe-by-default invariant shared with
 /// [`FaultSite`]); `rate >= 1` always fires.

@@ -20,9 +20,6 @@
 //! * [`telemetry`] — opt-in metric registry (counters/gauges/histograms with
 //!   labels) and span tracing with Chrome trace-event JSON export; a fabric
 //!   with no registry attached does no telemetry work on its hot path.
-//! * [`parallel`] — epoch-synchronous worker pool ([`parallel::EpochPool`])
-//!   and deterministic partitioner for the barrier-synchronous parallel
-//!   execution modes of the fabric simulators.
 //! * [`collective`] — the shared collective-operation vocabulary
 //!   ([`collective::Collective`]): labels and phase names both fabrics'
 //!   all-to-all / all-gather / all-reduce traffic generators agree on.
@@ -38,7 +35,9 @@
 //! All simulators in this workspace are **deterministic**: identical inputs
 //! (including RNG seeds) produce identical event orders and results. This is
 //! enforced by the stable tie-breaking in [`event::EventQueue`] and by using
-//! only explicitly-seeded RNGs.
+//! only explicitly-seeded RNGs. The crate contains no `unsafe` code.
+
+#![forbid(unsafe_code)]
 
 pub mod cancel;
 pub mod collective;
@@ -46,7 +45,6 @@ pub mod engine;
 pub mod event;
 pub mod faults;
 pub mod invariants;
-pub mod parallel;
 pub mod rng;
 pub mod stats;
 pub mod telemetry;
@@ -58,7 +56,6 @@ pub use collective::Collective;
 pub use engine::CycleEngine;
 pub use event::{EventQueue, EventScheduled};
 pub use faults::{FaultEvent, FaultKind, FaultSchedule, FaultSite, FaultStats};
-pub use parallel::{chunk_range, EpochPool};
 pub use stats::{Counter, Histogram, TimeWeighted};
 pub use telemetry::{Registry, SeriesHistogram, TraceEvent};
 pub use time::{Duration, Time};
@@ -71,7 +68,6 @@ pub mod prelude {
     pub use crate::engine::CycleEngine;
     pub use crate::event::{EventQueue, EventScheduled};
     pub use crate::faults::{FaultEvent, FaultKind, FaultSchedule, FaultSite, FaultStats};
-    pub use crate::parallel::{chunk_range, EpochPool};
     pub use crate::stats::{Counter, Histogram, TimeWeighted};
     pub use crate::telemetry::{Registry, SeriesHistogram, TraceEvent};
     pub use crate::time::{Duration, Time};

@@ -17,22 +17,13 @@ a single-family fresh file is never failed for lacking the others. The
 tolerance can be overridden with PERF_GATE_TOLERANCE (a fraction, default
 0.15).
 
-Besides the regression check, threaded mesh rows (threads > 1) must show a
-minimum speedup over the same policy's 1-thread row in the *fresh* run:
-PERF_GATE_MIN_SPEEDUP (default 1.0 — parallel execution must at least not
-be a slowdown). The speedup check only runs for rows whose thread count
-fits the machine (os.cpu_count() >= max(2, threads)); on smaller runners it
-is skipped with an explicit log line so a 1-core CI box never silently
-"passes" a parallelism gate it could not measure. Crosscheck rows are
-exempt — they are conformance fixtures, not throughput measurements.
-
 --summary-out writes a machine-readable verdict (status, per-row ratios,
 every failure string) for CI artifact upload; it is written on failure too.
 
 To accept an intentional slowdown (or record a faster scheduler), refresh
 the baseline:
 
-    PSYNC_RESULTS_DIR=/tmp/perf cargo run --release -p bench --bin perf_mesh -- --quick --threads 2
+    PSYNC_RESULTS_DIR=/tmp/perf cargo run --release -p bench --bin perf_mesh -- --quick
     cp /tmp/perf/perf_mesh.json ci/perf_baseline.json
 """
 
@@ -134,8 +125,6 @@ def main() -> int:
         if verdict == "FAIL":
             failures.append(f"{key}: throughput regressed to {ratio:.2f}x of baseline")
 
-    failures += check_parallel_speedup(fresh)
-
     if failures:
         print(f"perf-gate: FAILED (tolerance {tol:.0%}):")
         for f in failures:
@@ -154,7 +143,6 @@ def write_summary(path, status, tol, rows, failures):
     summary = {
         "status": status,
         "tolerance": tol,
-        "min_speedup": float(os.environ.get("PERF_GATE_MIN_SPEEDUP", "1.0")),
         "rows_compared": len(rows),
         "rows": rows,
         "failures": failures,
@@ -162,46 +150,6 @@ def write_summary(path, status, tol, rows, failures):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(summary, indent=2) + "\n")
     print(f"perf-gate: summary written to {path}")
-
-
-def check_parallel_speedup(fresh) -> list:
-    """Require threaded mesh rows to beat their 1-thread sibling by
-    PERF_GATE_MIN_SPEEDUP when the machine has enough cores to tell."""
-    min_speedup = float(os.environ.get("PERF_GATE_MIN_SPEEDUP", "1.0"))
-    cores = os.cpu_count() or 1
-    failures = []
-    for (policy, threads), row in sorted(fresh.items()):
-        if threads <= 1 or namespace(policy) != "perf":
-            # Conformance witnesses and collective fixtures are not
-            # throughput measurements.
-            continue
-        if cores < max(2, threads):
-            print(
-                f"perf-gate: ({policy!r}, {threads}): SKIP parallel-speedup check "
-                f"(machine has {cores} core(s), row needs {threads})"
-            )
-            continue
-        base = fresh.get((policy, 1))
-        speedup = row.get("speedup_vs_1t")
-        if speedup is None and base and base.get("wall_s", 0) > 0 and row.get("wall_s", 0) > 0:
-            speedup = base["wall_s"] / row["wall_s"]
-        if speedup is None:
-            failures.append(
-                f"({policy!r}, {threads}): no 1-thread sibling row to compute a "
-                "parallel speedup against"
-            )
-            continue
-        verdict = "FAIL" if speedup < min_speedup else "ok"
-        print(
-            f"perf-gate: ({policy!r}, {threads}): {speedup:.2f}x vs 1 thread "
-            f"(min {min_speedup:.2f}x) {verdict}"
-        )
-        if verdict == "FAIL":
-            failures.append(
-                f"({policy!r}, {threads}): parallel speedup {speedup:.2f}x below "
-                f"required {min_speedup:.2f}x"
-            )
-    return failures
 
 
 if __name__ == "__main__":
