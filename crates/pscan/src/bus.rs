@@ -1,4 +1,4 @@
-//! Discrete-event simulation of the photonic bus executing SCA / SCA⁻¹.
+//! The photonic bus executing SCA / SCA⁻¹.
 //!
 //! The simulator is built on the physical picture of paper Fig. 4. The clock
 //! wavelength `λ_c` launches numbered wavefronts down the waveguide; the
@@ -15,19 +15,28 @@
 //!   covers a contiguous slot range synthesizes a gap-free burst "as if from
 //!   a single source".
 //!
-//! Events (modulations, arrivals, deliveries) flow through a
-//! [`sim_core::EventQueue`], so causality and determinism are enforced by
-//! the kernel rather than by closed-form arithmetic; the closed-form
-//! expectations then *verify* the DES in tests (and vice versa).
+//! Every observable therefore follows from slot indices, and the simulator
+//! needs no event queue. Each operation is one linear sweep over the CPs'
+//! runs, in node order:
+//!
+//! * a gather records each wavefront's earliest claim — modulation instant,
+//!   then scheduling order — and reports the earliest *losing* claim as the
+//!   collision, which is the one a replay of all modulations in time order
+//!   would hit first; arrival times are the closed forms above for the
+//!   lowest and highest owned wavefront;
+//! * a scatter copies each `Listen` run straight out of the burst, and a
+//!   node completes when its tap detects its last wavefront.
+//!
+//! `tests/bus_oracle.rs` checks the sweep against exactly that time-ordered
+//! replay, on random CP sets with random per-node timing errors.
 
 use photonics::clock::PhotonicClock;
 use photonics::waveguide::{flight_time_mm, ChipLayout};
 use photonics::wdm::WavelengthPlan;
-use sim_core::event::EventQueue;
 use sim_core::invariant;
 use sim_core::time::Time;
 
-use crate::cp::{CommProgram, CpAction};
+use crate::cp::{CommProgram, CpAction, CpEntry};
 use crate::NodeId;
 
 /// A bus failure detected during simulation.
@@ -148,14 +157,19 @@ pub struct TransactOutcome {
     pub completion: Vec<Option<Time>>,
 }
 
+/// One node's modulation of a wavefront. Claims on the same wavefront are
+/// ordered by `(at, seq)`: modulation instant, then scheduling order.
 #[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// `node` imprints wavefront `slot` with `word`.
-    Modulate { node: NodeId, slot: u64, word: u64 },
-    /// Wavefront `slot` reaches the terminus photodiode.
-    Arrive { slot: u64 },
-    /// Wavefront `slot` (scatter) reaches `node`'s detector.
-    Deliver { node: NodeId, slot: u64 },
+struct Claim {
+    at: Time,
+    seq: u64,
+    node: NodeId,
+}
+
+impl Claim {
+    fn key(&self) -> (Time, u64) {
+        (self.at, self.seq)
+    }
 }
 
 /// The bus simulator: layout + clock + WDM plan.
@@ -192,14 +206,25 @@ impl BusSim {
         self.timing_error_ps[node] = error_ps;
     }
 
-    /// The wavefront node `node` actually imprints when its CP says `slot`,
-    /// given its timing error (nearest-wavefront capture).
-    fn effective_slot(&self, node: NodeId, slot: u64) -> i64 {
+    /// How many wavefronts node `node`'s timing error moves its modulation
+    /// (nearest-wavefront capture).
+    fn wavefront_shift(&self, node: NodeId) -> i64 {
         let period = self.clock.period.as_ps() as i64;
         let err = self.timing_error_ps[node];
         // Round to the nearest wavefront.
-        let shift = (err + if err >= 0 { period / 2 } else { -(period / 2) }) / period;
-        slot as i64 + shift
+        (err + if err >= 0 { period / 2 } else { -(period / 2) }) / period
+    }
+
+    /// The instant node `node` actually modulates for CP slot `slot`: its
+    /// ideal skew-aligned drive time plus its timing error.
+    fn modulation_time(&self, node: NodeId, slot: u64) -> Time {
+        let ideal = self.clock.drive_time(node, slot).as_ps();
+        Time::from_ps(ideal.saturating_add_signed(self.timing_error_ps[node]))
+    }
+
+    /// The instant tap `node` has detected wavefront `slot`.
+    fn captured_at(&self, node: NodeId, slot: u64) -> Time {
+        self.clock.edge_at_tap(node, slot) + self.clock.response_delay
     }
 
     /// The underlying photonic clock (per-tap skews etc.).
@@ -241,13 +266,25 @@ impl BusSim {
         programs: &[CommProgram],
         data: &[Vec<u64>],
     ) -> Result<GatherOutcome, BusError> {
+        self.claim(programs, data).map(|(out, _)| out)
+    }
+
+    /// The gather sweep. Besides the outcome, returns each wavefront's
+    /// winning claim, so [`BusSim::transact`] knows who really drove it.
+    fn claim(
+        &self,
+        programs: &[CommProgram],
+        data: &[Vec<u64>],
+    ) -> Result<(GatherOutcome, Vec<Option<Claim>>), BusError> {
         assert_eq!(programs.len(), data.len(), "one data vector per program");
         if programs.len() > self.nodes() {
             return Err(BusError::BadNode { node: self.nodes() });
         }
 
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        let mut max_slot = 0u64;
+        // Underruns are checked in node order before any wavefront is
+        // claimed. The same pass sizes the burst: a node's last imprinted
+        // wavefront is its last driven slot, shifted.
+        let mut n_slots = 1usize;
         for (node, cp) in programs.iter().enumerate() {
             let need = cp.slots_driven();
             if (data[node].len() as u64) < need {
@@ -257,132 +294,108 @@ impl BusSim {
                     need,
                 });
             }
-            let mut next_word = 0usize;
-            for (slot, action) in cp.iter_slots() {
-                if action != CpAction::Drive {
-                    continue;
-                }
-                let word = data[node][next_word];
-                next_word += 1;
-                // A timing error shifts both the modulation instant and —
-                // if it exceeds ±half a slot — the wavefront imprinted.
-                let eff = self.effective_slot(node, slot);
-                if eff < 0 {
-                    continue; // light fell before wavefront 0: lost
-                }
-                let eff = eff as u64;
-                let ideal = self.clock.drive_time(node, slot);
-                let err = self.timing_error_ps[node];
-                let actual = if err >= 0 {
-                    ideal + sim_core::time::Duration::from_ps(err as u64)
-                } else {
-                    let e = (-err) as u64;
-                    Time::from_ps(ideal.as_ps().saturating_sub(e))
-                };
-                q.schedule(
-                    actual,
-                    Ev::Modulate {
-                        node,
-                        slot: eff,
-                        word,
-                    },
-                );
-                max_slot = max_slot.max(eff);
+            let last = runs(cp, CpAction::Drive).last().map(|e| e.end() - 1);
+            if let Some(w) = last.and_then(|s| s.checked_add_signed(self.wavefront_shift(node))) {
+                n_slots = n_slots.max(w as usize + 1);
             }
         }
 
-        let n_slots = max_slot + 1;
-        let mut owner: Vec<Option<NodeId>> = vec![None; n_slots as usize];
-        let mut received: Vec<Option<u64>> = vec![None; n_slots as usize];
+        let mut claims: Vec<Option<Claim>> = vec![None; n_slots];
+        let mut received: Vec<Option<u64>> = vec![None; n_slots];
         let mut slots_by_node = vec![0u64; programs.len()];
-        let mut scheduled_arrivals = 0u64;
-        let mut first_arrival = Time::MAX;
-        let mut last_arrival = Time::ZERO;
-        let mut any = false;
-
-        // Pre-schedule terminus arrivals for every owned slot as modulations
-        // resolve. Each arrival strictly follows its modulation in time.
-        let mut pending_arrivals: Vec<(Time, u64)> = Vec::new();
-        while let Some(ev) = q.pop() {
-            match ev.payload {
-                Ev::Modulate { node, slot, word } => {
-                    let cell = &mut owner[slot as usize];
-                    if let Some(first) = *cell {
-                        return Err(BusError::Collision {
-                            slot,
-                            first,
-                            second: node,
-                        });
+        // The earliest claim that lost its wavefront: the collision a
+        // time-ordered replay of the modulations would hit first.
+        let mut earliest_loss: Option<(u64, Claim)> = None;
+        let mut seq = 0u64;
+        for (node, cp) in programs.iter().enumerate() {
+            // A timing error shifts both the modulation instant and — if it
+            // exceeds ±half a slot — the wavefront imprinted.
+            let shift = self.wavefront_shift(node);
+            let slots = runs(cp, CpAction::Drive).flat_map(|e| e.start..e.end());
+            for (slot, &word) in slots.zip(&data[node]) {
+                let Some(w) = slot.checked_add_signed(shift) else {
+                    continue; // light fell before wavefront 0: lost
+                };
+                let claim = Claim {
+                    at: self.modulation_time(node, slot),
+                    seq,
+                    node,
+                };
+                seq += 1;
+                let cell = &mut claims[w as usize];
+                let lost = match *cell {
+                    None => {
+                        *cell = Some(claim);
+                        received[w as usize] = Some(word);
+                        slots_by_node[node] += 1;
+                        continue;
                     }
-                    *cell = Some(node);
-                    received[slot as usize] = Some(word);
-                    slots_by_node[node] += 1;
-                    pending_arrivals.push((self.terminus_time(slot), slot));
-                    scheduled_arrivals += 1;
+                    Some(held) if claim.key() < held.key() => {
+                        *cell = Some(claim);
+                        received[w as usize] = Some(word);
+                        held
+                    }
+                    Some(_) => claim,
+                };
+                if earliest_loss.is_none_or(|(_, l)| lost.key() < l.key()) {
+                    earliest_loss = Some((w, lost));
                 }
-                Ev::Arrive { .. } | Ev::Deliver { .. } => unreachable!("gather emits none"),
             }
         }
-        // Replay arrivals through the queue to exercise the DES end-to-end
-        // (and to produce arrival times in causal order).
-        let mut q2: EventQueue<Ev> = EventQueue::new();
-        for (t, slot) in pending_arrivals {
-            q2.schedule(t, Ev::Arrive { slot });
+        if let Some((slot, second)) = earliest_loss {
+            let first = claims[slot as usize].expect("a contested wavefront has a winner");
+            return Err(BusError::Collision {
+                slot,
+                first: first.node,
+                second: second.node,
+            });
         }
-        let mut last_slot_seen: Option<u64> = None;
-        while let Some(ev) = q2.pop() {
-            if let Ev::Arrive { slot } = ev.payload {
-                // Wavefronts reach the terminus in slot order — the physical
-                // guarantee that the coalesced burst is well-ordered.
-                if let Some(prev) = last_slot_seen {
-                    invariant!(slot > prev, "terminus saw slots out of order");
-                }
-                last_slot_seen = Some(slot);
-                if !any {
-                    first_arrival = ev.at;
-                    any = true;
-                }
-                last_arrival = ev.at;
-            }
-        }
-        // Bus-slot exclusivity accounting (DESIGN.md §12): every owned slot
-        // produced exactly one arrival, per-node tallies partition the owned
-        // set, and word occupancy mirrors ownership slot-for-slot.
+
+        // Bus-slot exclusivity accounting (DESIGN.md §12): per-node tallies
+        // partition the owned wavefronts, and word occupancy mirrors
+        // ownership slot-for-slot.
         if sim_core::invariants::ENABLED {
+            let mut tally = vec![0u64; programs.len()];
+            for c in claims.iter().flatten() {
+                tally[c.node] += 1;
+            }
             invariant!(
-                scheduled_arrivals == owner.iter().flatten().count() as u64,
-                "bus-slot exclusivity: {scheduled_arrivals} arrivals vs owned slots"
-            );
-            invariant!(
-                slots_by_node.iter().sum::<u64>() == scheduled_arrivals,
+                tally == slots_by_node,
                 "bus-slot exclusivity: per-node slot tallies do not partition the owned set"
             );
             invariant!(
-                owner
+                claims
                     .iter()
-                    .zip(received.iter())
-                    .all(|(o, w)| o.is_some() == w.is_some()),
+                    .zip(&received)
+                    .all(|(c, w)| c.is_some() == w.is_some()),
                 "bus-slot exclusivity: slot owned without a word (or vice versa)"
             );
         }
 
-        let owned = received.iter().flatten().count() as u64;
-        let (lo, hi) = span(&received);
-        let span_len = if owned == 0 { 0 } else { hi - lo + 1 };
-        let utilization = if span_len == 0 {
-            0.0
-        } else {
-            owned as f64 / span_len as f64
+        // Wavefronts reach the terminus in slot order, one period apart: the
+        // burst starts with the lowest owned wavefront and ends with the
+        // highest.
+        let owned: u64 = slots_by_node.iter().sum();
+        let lo = received.iter().position(Option::is_some);
+        let hi = received.iter().rposition(Option::is_some);
+        let (first_arrival, last_arrival, utilization) = match (lo, hi) {
+            (Some(lo), Some(hi)) => (
+                self.terminus_time(lo as u64),
+                self.terminus_time(hi as u64),
+                owned as f64 / (hi - lo + 1) as f64,
+            ),
+            _ => (Time::ZERO, Time::ZERO, 0.0),
         };
 
-        Ok(GatherOutcome {
+        let outcome = GatherOutcome {
             bits: owned * self.plan.bits_per_slot(),
             received,
-            first_arrival: if any { first_arrival } else { Time::ZERO },
+            first_arrival,
             last_arrival,
             utilization,
             slots_by_node,
-        })
+        };
+        Ok((outcome, claims))
     }
 
     /// Execute a general transaction: programs may both Drive and Listen.
@@ -395,60 +408,37 @@ impl BusSim {
     /// after the driver, and upstream taps before it). Listening to a slot
     /// whose driver is at or downstream of the listener yields
     /// [`BusError::Unreachable`].
+    ///
+    /// Ownership is the gather's: a driver whose timing error moved its
+    /// modulation onto another wavefront is heard there, and a wavefront
+    /// nobody actually imprinted is dark.
     pub fn transact(
         &self,
         programs: &[CommProgram],
         data: &[Vec<u64>],
     ) -> Result<TransactOutcome, BusError> {
-        // First resolve ownership exactly as a gather does.
-        let gather = self.gather(programs, data)?;
-
-        // Rebuild the per-slot owner map from the programs (same pass the
-        // gather made, but we need owner identity per slot).
-        let n_slots = gather.received.len() as u64;
-        let mut owner: Vec<Option<NodeId>> = vec![None; n_slots as usize];
-        for (node, cp) in programs.iter().enumerate() {
-            for (slot, action) in cp.iter_slots() {
-                if action == CpAction::Drive {
-                    owner[slot as usize] = Some(node);
-                }
-            }
-        }
+        let (gather, claims) = self.claim(programs, data)?;
 
         let mut delivered: Vec<Vec<u64>> = vec![Vec::new(); programs.len()];
         let mut completion: Vec<Option<Time>> = vec![None; programs.len()];
-        let mut q: EventQueue<Ev> = EventQueue::new();
         for (node, cp) in programs.iter().enumerate() {
-            for (slot, action) in cp.iter_slots() {
-                if action != CpAction::Listen {
-                    continue;
-                }
-                match owner.get(slot as usize).copied().flatten() {
-                    Some(driver) if driver < node => {
-                        let t = self.clock.edge_at_tap(node, slot) + self.clock.response_delay;
-                        q.schedule(t, Ev::Deliver { node, slot });
-                    }
-                    Some(driver) => {
-                        return Err(BusError::Unreachable {
-                            slot,
-                            driver,
-                            listener: node,
-                        });
-                    }
-                    None => {
-                        return Err(BusError::Unreachable {
-                            slot,
-                            driver: usize::MAX,
-                            listener: node,
-                        });
+            for e in runs(cp, CpAction::Listen) {
+                for slot in e.start..e.end() {
+                    match claims.get(slot as usize).copied().flatten() {
+                        Some(c) if c.node < node => delivered[node].push(
+                            gather.received[slot as usize]
+                                .expect("an owned wavefront carries a word"),
+                        ),
+                        driver => {
+                            return Err(BusError::Unreachable {
+                                slot,
+                                driver: driver.map_or(usize::MAX, |c| c.node),
+                                listener: node,
+                            })
+                        }
                     }
                 }
-            }
-        }
-        while let Some(ev) = q.pop() {
-            if let Ev::Deliver { node, slot } = ev.payload {
-                delivered[node].push(gather.received[slot as usize].expect("owned slot"));
-                completion[node] = Some(ev.at);
+                completion[node] = Some(self.captured_at(node, e.end() - 1));
             }
         }
         Ok(TransactOutcome {
@@ -470,31 +460,20 @@ impl BusSim {
             return Err(BusError::BadNode { node: self.nodes() });
         }
         let n_slots = burst.len() as u64;
-        let mut q: EventQueue<Ev> = EventQueue::new();
+        let mut delivered: Vec<Vec<u64>> = vec![Vec::new(); programs.len()];
+        let mut completion: Vec<Option<Time>> = vec![None; programs.len()];
         for (node, cp) in programs.iter().enumerate() {
-            for (slot, action) in cp.iter_slots() {
-                if action != CpAction::Listen {
-                    continue;
-                }
-                if slot >= n_slots {
+            for e in runs(cp, CpAction::Listen) {
+                if e.end() > n_slots {
                     return Err(BusError::DataUnderrun {
                         node,
                         have: burst.len(),
-                        need: slot + 1,
+                        need: e.start.max(n_slots) + 1,
                     });
                 }
+                delivered[node].extend_from_slice(&burst[e.start as usize..e.end() as usize]);
                 // Wavefront k passes tap `node` when the tap sees edge k.
-                let t = self.clock.edge_at_tap(node, slot) + self.clock.response_delay;
-                q.schedule(t, Ev::Deliver { node, slot });
-            }
-        }
-
-        let mut delivered: Vec<Vec<u64>> = vec![Vec::new(); programs.len()];
-        let mut completion: Vec<Option<Time>> = vec![None; programs.len()];
-        while let Some(ev) = q.pop() {
-            if let Ev::Deliver { node, slot } = ev.payload {
-                delivered[node].push(burst[slot as usize]);
-                completion[node] = Some(ev.at);
+                completion[node] = Some(self.captured_at(node, e.end() - 1));
             }
         }
 
@@ -512,32 +491,27 @@ impl BusSim {
     }
 }
 
-/// `(first, last)` indices of `Some` entries; `(0, 0)` when none.
-fn span(received: &[Option<u64>]) -> (u64, u64) {
-    let mut lo = None;
-    let mut hi = 0u64;
-    for (i, w) in received.iter().enumerate() {
-        if w.is_some() {
-            if lo.is_none() {
-                lo = Some(i as u64);
-            }
-            hi = i as u64;
-        }
-    }
-    (lo.unwrap_or(0), hi)
+/// The entries of `cp` with action `action`, in slot order.
+fn runs(cp: &CommProgram, action: CpAction) -> impl Iterator<Item = &CpEntry> {
+    cp.entries().iter().filter(move |e| e.action == action)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compiler::{CpCompiler, GatherSpec, ScatterSpec};
-    use crate::cp::CpEntry;
+    use CpAction::{Drive, Listen};
 
     fn bus(nodes: usize) -> BusSim {
         BusSim::new(
             ChipLayout::square(20.0, nodes),
             WavelengthPlan::paper_320g(),
         )
+    }
+
+    /// A CP of one run of `len` slots from `start`.
+    fn run(start: u64, len: u64, action: CpAction) -> CommProgram {
+        CommProgram::new(vec![CpEntry { start, len, action }]).unwrap()
     }
 
     #[test]
@@ -575,18 +549,8 @@ mod tests {
     #[test]
     fn collision_is_detected() {
         let b = bus(2);
-        let cp0 = CommProgram::new(vec![CpEntry {
-            start: 0,
-            len: 2,
-            action: CpAction::Drive,
-        }])
-        .unwrap();
-        let cp1 = CommProgram::new(vec![CpEntry {
-            start: 1,
-            len: 1,
-            action: CpAction::Drive,
-        }])
-        .unwrap();
+        let cp0 = run(0, 2, Drive);
+        let cp1 = run(1, 1, Drive);
         let err = b.gather(&[cp0, cp1], &[vec![1, 2], vec![3]]).unwrap_err();
         match err {
             BusError::Collision { slot: 1, .. } => {}
@@ -597,12 +561,7 @@ mod tests {
     #[test]
     fn underrun_is_detected() {
         let b = bus(1);
-        let cp = CommProgram::new(vec![CpEntry {
-            start: 0,
-            len: 5,
-            action: CpAction::Drive,
-        }])
-        .unwrap();
+        let cp = run(0, 5, Drive);
         let err = b.gather(&[cp], &[vec![1, 2]]).unwrap_err();
         assert_eq!(
             err,
@@ -618,18 +577,8 @@ mod tests {
     fn gaps_lower_utilization() {
         let b = bus(2);
         // Drive slots 0 and 2, leave 1 dark.
-        let cp0 = CommProgram::new(vec![CpEntry {
-            start: 0,
-            len: 1,
-            action: CpAction::Drive,
-        }])
-        .unwrap();
-        let cp1 = CommProgram::new(vec![CpEntry {
-            start: 2,
-            len: 1,
-            action: CpAction::Drive,
-        }])
-        .unwrap();
+        let cp0 = run(0, 1, Drive);
+        let cp1 = run(2, 1, Drive);
         let out = b.gather(&[cp0, cp1], &[vec![7], vec![9]]).unwrap();
         assert_eq!(out.received, vec![Some(7), None, Some(9)]);
         assert!((out.utilization - 2.0 / 3.0).abs() < 1e-12);
@@ -655,16 +604,8 @@ mod tests {
     #[test]
     fn downstream_nodes_complete_later_for_same_slots() {
         let b = bus(8);
-        // Both nodes listen to one early slot each, same index distance.
-        let mk = |slot| {
-            CommProgram::new(vec![CpEntry {
-                start: slot,
-                len: 1,
-                action: CpAction::Listen,
-            }])
-            .unwrap()
-        };
-        let cps = vec![mk(0), mk(0)]; // wait: two nodes listening same slot is legal (multicast)
+        // Both nodes listen to slot 0: multicast is legal.
+        let cps = vec![run(0, 1, Listen), run(0, 1, Listen)];
         let out = b.scatter(&cps, &[42]).unwrap();
         let t0 = out.completion[0].unwrap();
         let t1 = out.completion[1].unwrap();
@@ -676,12 +617,7 @@ mod tests {
     #[test]
     fn scatter_slot_out_of_range_errors() {
         let b = bus(2);
-        let cp = CommProgram::new(vec![CpEntry {
-            start: 9,
-            len: 1,
-            action: CpAction::Listen,
-        }])
-        .unwrap();
+        let cp = run(9, 1, Listen);
         assert!(matches!(
             b.scatter(&[cp], &[1, 2, 3]),
             Err(BusError::DataUnderrun { .. })
@@ -699,18 +635,8 @@ mod tests {
         // Node 0 and node 63 are ~half a bus apart; flight between them far
         // exceeds one 100 ps slot. Give node 63 early slots and node 0 late
         // slots so their absolute modulation windows overlap.
-        let cp63 = CommProgram::new(vec![CpEntry {
-            start: 0,
-            len: 8,
-            action: CpAction::Drive,
-        }])
-        .unwrap();
-        let cp0 = CommProgram::new(vec![CpEntry {
-            start: 8,
-            len: 8,
-            action: CpAction::Drive,
-        }])
-        .unwrap();
+        let cp63 = run(0, 8, Drive);
+        let cp0 = run(8, 8, Drive);
         let mut cps = vec![CommProgram::empty(); 64];
         cps[63] = cp63;
         cps[0] = cp0;
@@ -785,28 +711,11 @@ mod tests {
         // Node 0 sends 2 words to node 3; node 1 sends 1 word to node 2 —
         // all on one shared schedule, interleaved with an SCA-style drive.
         let b = bus(4);
-        let mk = |entries: Vec<CpEntry>| CommProgram::new(entries).unwrap();
         let cps = vec![
-            mk(vec![CpEntry {
-                start: 0,
-                len: 2,
-                action: CpAction::Drive,
-            }]),
-            mk(vec![CpEntry {
-                start: 2,
-                len: 1,
-                action: CpAction::Drive,
-            }]),
-            mk(vec![CpEntry {
-                start: 2,
-                len: 1,
-                action: CpAction::Listen,
-            }]),
-            mk(vec![CpEntry {
-                start: 0,
-                len: 2,
-                action: CpAction::Listen,
-            }]),
+            run(0, 2, Drive),
+            run(2, 1, Drive),
+            run(2, 1, Listen),
+            run(0, 2, Listen),
         ];
         let data = vec![vec![10, 11], vec![22], vec![], vec![]];
         let out = b.transact(&cps, &data).unwrap();
@@ -825,21 +734,7 @@ mod tests {
         // Node 2 drives; node 1 (upstream) tries to listen: physically
         // impossible on a directional waveguide.
         let b = bus(3);
-        let cps = vec![
-            CommProgram::empty(),
-            CommProgram::new(vec![CpEntry {
-                start: 0,
-                len: 1,
-                action: CpAction::Listen,
-            }])
-            .unwrap(),
-            CommProgram::new(vec![CpEntry {
-                start: 0,
-                len: 1,
-                action: CpAction::Drive,
-            }])
-            .unwrap(),
-        ];
+        let cps = vec![CommProgram::empty(), run(0, 1, Listen), run(0, 1, Drive)];
         let data = vec![vec![], vec![], vec![7]];
         let err = b.transact(&cps, &data).unwrap_err();
         assert_eq!(
@@ -855,20 +750,7 @@ mod tests {
     #[test]
     fn transact_rejects_dark_slot_listening() {
         let b = bus(2);
-        let cps = vec![
-            CommProgram::new(vec![CpEntry {
-                start: 0,
-                len: 1,
-                action: CpAction::Drive,
-            }])
-            .unwrap(),
-            CommProgram::new(vec![CpEntry {
-                start: 5,
-                len: 1,
-                action: CpAction::Listen,
-            }])
-            .unwrap(),
-        ];
+        let cps = vec![run(0, 1, Drive), run(5, 1, Listen)];
         let err = b.transact(&cps, &[vec![1], vec![]]).unwrap_err();
         assert!(matches!(err, BusError::Unreachable { slot: 5, .. }));
     }
@@ -884,5 +766,56 @@ mod tests {
             .unwrap();
         assert!(out.received.iter().all(|w| w.is_none()) || out.received.is_empty());
         assert_eq!(out.bits, 0);
+    }
+
+    #[test]
+    fn transact_hears_a_driver_that_drifted_early() {
+        // Node 0's CP drives slots 1–2, but it runs a full slot early: its
+        // words land on wavefronts 0–1. Listeners hear what is really on
+        // the bus.
+        let mut b = bus(3);
+        b.set_timing_error(0, -100);
+        let data = vec![vec![5, 6], vec![]];
+        let out = b
+            .transact(&[run(1, 2, Drive), run(0, 2, Listen)], &data)
+            .unwrap();
+        assert_eq!(out.gather.received, vec![Some(5), Some(6)]);
+        assert_eq!(out.delivered[1], vec![5, 6]);
+        // Slot 2 is on node 0's CP but nobody imprinted its wavefront.
+        let err = b
+            .transact(&[run(1, 2, Drive), run(2, 1, Listen)], &data)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            BusError::Unreachable {
+                slot: 2,
+                driver: usize::MAX,
+                listener: 1
+            }
+        );
+    }
+
+    #[test]
+    fn transact_hears_a_driver_that_drifted_late() {
+        // Node 0 runs a full slot late: its words land on wavefronts 1–2
+        // and wavefront 0 goes dark.
+        let mut b = bus(3);
+        b.set_timing_error(0, 100);
+        let data = vec![vec![5, 6], vec![]];
+        let out = b
+            .transact(&[run(0, 2, Drive), run(1, 2, Listen)], &data)
+            .unwrap();
+        assert_eq!(out.delivered[1], vec![5, 6]);
+        let err = b
+            .transact(&[run(0, 2, Drive), run(0, 1, Listen)], &data)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            BusError::Unreachable {
+                slot: 0,
+                driver: usize::MAX,
+                listener: 1
+            }
+        );
     }
 }

@@ -12,7 +12,7 @@
 //!   slot-to-node mapping (gather) or node-to-slot mapping (scatter), the
 //!   paper's future-work item "generation of distributed communication
 //!   programs from abstract programmer constructs".
-//! * [`bus`] — a discrete-event simulation of the photonic bus that executes
+//! * [`bus`] — the photonic bus: one linear sweep per CP set executes the
 //!   CPs against the open-loop photonic clock, checks wavefront-ownership
 //!   collisions, and reconstructs what the terminus photodiode sees.
 //! * [`fifo`] — the dual-clock FIFO that decouples each node's core clock

@@ -8,8 +8,6 @@
 //! * [`time`] — a picosecond-resolution simulated-time type ([`time::Time`])
 //!   with exact integer arithmetic, so photonic flight times (fractions of a
 //!   nanosecond) and electronic cycle times compose without rounding drift.
-//! * [`event`] — a deterministic discrete-event scheduler ([`event::EventQueue`])
-//!   with stable FIFO ordering among same-timestamp events.
 //! * [`engine`] — a cycle-driven engine ([`engine::CycleEngine`]) for
 //!   synchronous models such as the wormhole mesh.
 //! * [`stats`] — counters, histograms and time-weighted averages used to
@@ -33,16 +31,15 @@
 //!   `check-invariants` feature, compiled out otherwise.
 //!
 //! All simulators in this workspace are **deterministic**: identical inputs
-//! (including RNG seeds) produce identical event orders and results. This is
-//! enforced by the stable tie-breaking in [`event::EventQueue`] and by using
-//! only explicitly-seeded RNGs. The crate contains no `unsafe` code.
+//! (including RNG seeds) produce identical results, because every model
+//! orders its work explicitly and uses only explicitly-seeded RNGs. The
+//! crate contains no `unsafe` code.
 
 #![forbid(unsafe_code)]
 
 pub mod cancel;
 pub mod collective;
 pub mod engine;
-pub mod event;
 pub mod faults;
 pub mod invariants;
 pub mod rng;
@@ -54,7 +51,6 @@ pub mod vcd;
 pub use cancel::{CancelCause, CancelToken, CancelWatch, Deadline, Interrupt};
 pub use collective::Collective;
 pub use engine::CycleEngine;
-pub use event::{EventQueue, EventScheduled};
 pub use faults::{FaultEvent, FaultKind, FaultSchedule, FaultSite, FaultStats};
 pub use stats::{Counter, Histogram, TimeWeighted};
 pub use telemetry::{Registry, SeriesHistogram, TraceEvent};
@@ -66,7 +62,6 @@ pub use vcd::VcdWriter;
 pub mod prelude {
     pub use crate::cancel::{CancelCause, CancelToken, CancelWatch, Deadline, Interrupt};
     pub use crate::engine::CycleEngine;
-    pub use crate::event::{EventQueue, EventScheduled};
     pub use crate::faults::{FaultEvent, FaultKind, FaultSchedule, FaultSite, FaultStats};
     pub use crate::stats::{Counter, Histogram, TimeWeighted};
     pub use crate::telemetry::{Registry, SeriesHistogram, TraceEvent};
