@@ -14,8 +14,15 @@
 //! rendered result and full telemetry dump are pinned separately. A thread
 //! request above 1 must reproduce the same values and say that it ran
 //! sequentially.
+//!
+//! A second grid leaves the square single-corner mesh: a non-square 6×5
+//! mesh and the 6×5 torus, at buffer depths 1 and 4 and at `t_r = 3`,
+//! under both policies, with memory-interface traffic and a second wave
+//! injected after the first drains.
 
+use emesh::flit::Packet;
 use emesh::mesh::{Mesh, MeshConfig, MeshRunResult, RoutingPolicy, RunWarning};
+use emesh::topology::{MemifPlacement, Topology};
 use emesh::workloads::{load_transpose, load_uniform_random};
 use emesh::MeshFaultConfig;
 
@@ -147,6 +154,85 @@ fn uniform_random_matches_pinned_observables() {
         got.push((policy, obs.cycles, obs.fingerprint()));
     }
     assert_eq!(got, UNIFORM_RANDOM.to_vec());
+}
+
+/// Uniform-random traffic plus two packets per node to its nearest memory
+/// interface on a 6×5 grid, run to completion; then a second wave injected
+/// mid-run and drained. Returns both completion cycles and the fingerprint
+/// of both runs' observables (or of the error, should a run fail).
+fn run_geometry(torus: bool, policy: RoutingPolicy, depth: usize, t_r: u64) -> (u64, u64, u64) {
+    let topology = Topology::rect(6, 5, MemifPlacement::FourCorners).with_torus(torus);
+    let cfg = MeshConfig::paper_default()
+        .with_topology(topology)
+        .with_policy(policy)
+        .with_buffers(depth)
+        .with_t_r(t_r)
+        .with_max_cycles(1 << 20);
+    let (mut mesh, mut id) = load_uniform_random(cfg, 8, 4, 42);
+    mesh.collect_sink_words(true);
+    mesh.track_latency(4, 256);
+    let n = topology.nodes() as u32;
+    for src in 0..n {
+        for k in 0..2u64 {
+            let memif = topology.nearest_memif(src);
+            let addr = u64::from(src) * 8 + k;
+            mesh.inject_packet(src, &Packet::with_header(memif, id, vec![addr]));
+            id += 1;
+        }
+    }
+    let mut cycles = [0u64; 2];
+    let mut rendered = String::new();
+    for (wave, done) in cycles.iter_mut().enumerate() {
+        if wave == 1 {
+            for src in (0..n).step_by(3) {
+                let dest = (src * 7 + 1) % n;
+                if dest != src {
+                    mesh.inject_packet(src, &Packet::with_header(dest, id, vec![id; 3]));
+                    id += 1;
+                }
+            }
+        }
+        match mesh.run() {
+            Ok(res) => {
+                *done = res.cycles;
+                rendered += &format!("{:?}", observe(&mesh, &res));
+            }
+            Err(e) => rendered += &format!("{e:?}"),
+        }
+    }
+    (cycles[0], cycles[1], fnv1a64(rendered.as_bytes()))
+}
+
+/// `(torus, policy, buffer depth, t_r, first-wave cycles, second-wave
+/// cycles, fingerprint)`. On the torus the adaptive policy takes the
+/// deterministic shortest-direction route, so both policies pin the same
+/// values there.
+#[rustfmt::skip]
+const GEOMETRY_GRID: [(bool, RoutingPolicy, usize, u64, u64, u64, u64); 12] = [
+    (false, RoutingPolicy::Xy, 1, 1, 245, 261, 0x81b8_80c0_bdac_22af),
+    (false, RoutingPolicy::Xy, 4, 1, 104, 118, 0x75e3_9f76_d2d5_6360),
+    (false, RoutingPolicy::Xy, 2, 3, 209, 233, 0x6bd4_67fa_0665_a4bc),
+    (false, RoutingPolicy::MinimalAdaptive, 1, 1, 250, 266, 0x8539_9d95_f83a_d22b),
+    (false, RoutingPolicy::MinimalAdaptive, 4, 1, 129, 143, 0x1d34_8a08_171e_a84a),
+    (false, RoutingPolicy::MinimalAdaptive, 2, 3, 222, 246, 0xa6e1_ce1e_777c_0be8),
+    (true, RoutingPolicy::Xy, 1, 1, 199, 213, 0xe74f_1994_a559_3056),
+    (true, RoutingPolicy::Xy, 4, 1, 98, 110, 0x08f2_38a6_c38e_7259),
+    (true, RoutingPolicy::Xy, 2, 3, 243, 263, 0x72a0_0990_491b_c865),
+    (true, RoutingPolicy::MinimalAdaptive, 1, 1, 199, 213, 0xe74f_1994_a559_3056),
+    (true, RoutingPolicy::MinimalAdaptive, 4, 1, 98, 110, 0x08f2_38a6_c38e_7259),
+    (true, RoutingPolicy::MinimalAdaptive, 2, 3, 243, 263, 0x72a0_0990_491b_c865),
+];
+
+#[test]
+fn geometry_grid_matches_pinned_observables() {
+    let got: Vec<_> = GEOMETRY_GRID
+        .iter()
+        .map(|&(torus, policy, depth, t_r, ..)| {
+            let (first, second, fp) = run_geometry(torus, policy, depth, t_r);
+            (torus, policy, depth, t_r, first, second, fp)
+        })
+        .collect();
+    assert_eq!(got, GEOMETRY_GRID.to_vec());
 }
 
 /// An instrumented run: telemetry registry, latency histogram, and (when
