@@ -7,7 +7,10 @@
 //!   encounters (route computation, §V-C-2);
 //! * each output channel carries ≤ 1 flit/cycle and is owned wormhole-style
 //!   by one packet between head and tail;
-//! * each input buffer holds ≤ 2 flits and pops ≤ 1 flit/cycle;
+//! * each input buffer holds ≤ 2 flits and pops ≤ 1 flit/cycle —
+//!   structurally: a router is serviced at most once per cycle, only its
+//!   own service pops its inputs, and each service visits each input at
+//!   most once, so no per-port pop stamp is needed;
 //! * ejection into a memory interface respects the interface's reorder
 //!   occupancy (`t_p`).
 //!
@@ -34,8 +37,9 @@
 //! The service loop itself (`mesh/exec.rs`) is one sequential drain over
 //! plain `&mut` state, with faults, telemetry and latency tracking applied
 //! in place; router port state lives in a structure-of-arrays slab
-//! (`mesh/soa.rs`). DESIGN.md §11 records why there is no parallel
-//! executor.
+//! (`mesh/soa.rs`), and each router's neighbours and coordinates are
+//! looked up in tables built once by [`Mesh::new`]. DESIGN.md §11 records
+//! why there is no parallel executor.
 
 mod exec;
 mod soa;
@@ -52,8 +56,8 @@ use crate::energy::EnergyCounters;
 use crate::faults::{FaultLayer, MeshDiagnostic, MeshFaultConfig, MeshFaultStats};
 use crate::flit::{Flit, Packet};
 use crate::memif::{MemIf, MemifConfig, MemifStats};
-use crate::router::NUM_PORTS;
-use crate::topology::Topology;
+use crate::router::{Port, NUM_PORTS};
+use crate::topology::{NodeCoord, Topology};
 
 /// Routing policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -209,6 +213,13 @@ pub enum MeshError {
         /// Number of nodes in the mesh.
         nodes: usize,
     },
+    /// A packet was addressed to a node id outside the topology.
+    BadDestination {
+        /// The offending destination node id.
+        dest: u32,
+        /// Number of nodes in the mesh.
+        nodes: usize,
+    },
     /// A packet was injected at a hard-killed router.
     DeadNode {
         /// The offending node id.
@@ -265,6 +276,12 @@ impl std::fmt::Display for MeshError {
             }
             MeshError::BadInjection { node, nodes } => {
                 write!(f, "injection at node {node} outside the {nodes}-node mesh")
+            }
+            MeshError::BadDestination { dest, nodes } => {
+                write!(
+                    f,
+                    "packet addressed to node {dest} outside the {nodes}-node mesh"
+                )
             }
             MeshError::DeadNode { node, killed_at } => {
                 write!(
@@ -463,11 +480,13 @@ pub struct Mesh {
     cfg: MeshConfig,
     /// All router port state, structure-of-arrays (see `mesh/soa.rs`).
     slab: soa::RouterSlab,
+    /// Neighbour across each port, flattened `router * NUM_PORTS + port`
+    /// ([`NO_LINK`] past a mesh edge and on `Local`).
+    links: Vec<u32>,
+    /// Coordinate of each router.
+    coords: Vec<NodeCoord>,
     /// Pre-flitted injection stream per node.
     inject: Vec<VecDeque<Flit>>,
-    last_inject: Vec<u64>,
-    /// Pop stamps, flattened `router * NUM_PORTS + port`.
-    last_pop: Vec<u64>,
     memif_slot: Vec<Option<u32>>,
     memifs: Vec<MemIf>,
     sink_delivered: Vec<u64>,
@@ -511,6 +530,42 @@ pub struct Mesh {
 
 const NEVER: u64 = u64::MAX;
 
+/// A missing neighbour in the link table.
+const NO_LINK: u32 = u32::MAX;
+
+/// The link table of `t`: entry `node * NUM_PORTS + port` is the node
+/// across `port`, wrapping on a torus, or [`NO_LINK`] past a mesh edge and
+/// on `Local`.
+fn link_table(t: &Topology) -> Vec<u32> {
+    let (w, h) = (i64::from(t.width), i64::from(t.height));
+    let mut links = vec![NO_LINK; t.nodes() * NUM_PORTS];
+    for node in 0..t.nodes() as u32 {
+        let c = t.coord(node);
+        for port in [Port::North, Port::East, Port::South, Port::West] {
+            let (dx, dy) = match port {
+                Port::North => (0, -1),
+                Port::East => (1, 0),
+                Port::South => (0, 1),
+                Port::West => (-1, 0),
+                Port::Local => unreachable!("local has no neighbor"),
+            };
+            let (x, y) = (i64::from(c.x) + dx, i64::from(c.y) + dy);
+            let (x, y) = if t.torus {
+                (x.rem_euclid(w), y.rem_euclid(h))
+            } else if (0..w).contains(&x) && (0..h).contains(&y) {
+                (x, y)
+            } else {
+                continue;
+            };
+            links[node as usize * NUM_PORTS + port as usize] = t.id(NodeCoord {
+                x: x as u32,
+                y: y as u32,
+            });
+        }
+    }
+    links
+}
+
 /// Serviced cycles between throttled flit-conservation audits (the audit
 /// is O(nodes); hot-site checks are O(1) every cycle).
 const AUDIT_INTERVAL: u64 = 1024;
@@ -543,10 +598,10 @@ impl Mesh {
         }
         Mesh {
             slab: soa::RouterSlab::new(n, cfg.buffer_depth),
+            links: link_table(&cfg.topology),
+            coords: (0..n as u32).map(|id| cfg.topology.coord(id)).collect(),
             cfg,
             inject: vec![VecDeque::new(); n],
-            last_inject: vec![NEVER; n],
-            last_pop: vec![NEVER; n * NUM_PORTS],
             memif_slot,
             memifs,
             sink_delivered: vec![0; n],
@@ -645,11 +700,12 @@ impl Mesh {
     /// Asserting wrapper over [`Mesh::try_inject_packet`].
     ///
     /// # Panics
-    /// Panics on an out-of-range or hard-killed node id; use
-    /// [`Mesh::try_inject_packet`] for a structured error instead.
+    /// Panics on an out-of-range node or destination id, or a hard-killed
+    /// node; use [`Mesh::try_inject_packet`] for a structured error
+    /// instead.
     pub fn inject_packet(&mut self, node: u32, packet: &Packet) {
         self.try_inject_packet(node, packet)
-            .expect("inject_packet: invalid or dead node");
+            .expect("inject_packet: invalid node, invalid destination or dead node");
     }
 
     /// Queue `packet` for injection at `node`, rejecting invalid targets.
@@ -661,6 +717,8 @@ impl Mesh {
     ///
     /// # Errors
     /// [`MeshError::BadInjection`] if `node` is outside the topology;
+    /// [`MeshError::BadDestination`] if `packet.dest` is (routing toward
+    /// it would index past the router tables or circle a torus forever);
     /// [`MeshError::DeadNode`] if `node` is a router already hard-killed
     /// (its injector will never run, so the packet would silently wedge
     /// the mesh).
@@ -668,6 +726,12 @@ impl Mesh {
         let nodes = self.cfg.topology.nodes();
         if node as usize >= nodes {
             return Err(MeshError::BadInjection { node, nodes });
+        }
+        if packet.dest as usize >= nodes {
+            return Err(MeshError::BadDestination {
+                dest: packet.dest,
+                nodes,
+            });
         }
         if let Some(fl) = &self.faults {
             if let Some(at) = fl.killed_at(node) {
@@ -1183,6 +1247,90 @@ mod tests {
             last = res.cycles;
             assert_eq!(res.memif_stats[0].flits_accepted, 2 * (round as u64 + 1));
         }
+    }
+
+    #[test]
+    fn link_table_matches_topology_geometry() {
+        let geometries = [
+            Topology::rect(4, 3, MemifPlacement::SingleCorner),
+            Topology::rect(1, 4, MemifPlacement::SingleCorner),
+            Topology::rect(5, 1, MemifPlacement::SingleCorner),
+            Topology::torus(4, 3, MemifPlacement::SingleCorner),
+            Topology::torus(1, 4, MemifPlacement::SingleCorner),
+            Topology::torus(4, 1, MemifPlacement::SingleCorner),
+            Topology::torus(2, 5, MemifPlacement::SingleCorner),
+            Topology::torus(5, 2, MemifPlacement::SingleCorner),
+            Topology::torus(1, 1, MemifPlacement::SingleCorner),
+        ];
+        for t in geometries {
+            let m = Mesh::new(MeshConfig::paper_default().with_topology(t));
+            let (w, h) = (t.width, t.height);
+            for node in 0..t.nodes() as u32 {
+                let c = t.coord(node);
+                assert_eq!(m.coords[node as usize], c, "{} node {node}", t.label());
+                // The neighbour across each port, by wrap arithmetic on a
+                // torus and with the edges cut on a mesh.
+                let expected = [
+                    (Port::North, (c.x, (c.y + h - 1) % h), c.y > 0),
+                    (Port::East, ((c.x + 1) % w, c.y), c.x + 1 < w),
+                    (Port::South, (c.x, (c.y + 1) % h), c.y + 1 < h),
+                    (Port::West, ((c.x + w - 1) % w, c.y), c.x > 0),
+                ];
+                let at = |port: Port| m.links[node as usize * NUM_PORTS + port as usize];
+                assert_eq!(at(Port::Local), NO_LINK, "{} node {node}", t.label());
+                for (port, (x, y), inside) in expected {
+                    let want = if t.torus || inside {
+                        t.id(NodeCoord { x, y })
+                    } else {
+                        NO_LINK
+                    };
+                    assert_eq!(at(port), want, "{} node {node} {port:?}", t.label());
+                    if want != NO_LINK {
+                        // Links come in opposite pairs.
+                        let back = m.links[want as usize * NUM_PORTS + port.opposite() as usize];
+                        assert_eq!(back, node, "{} node {node} {port:?}", t.label());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_destination_is_a_coded_error_on_a_mesh() {
+        let mut m = Mesh::new(small_cfg(RoutingPolicy::Xy));
+        let err = m
+            .try_inject_packet(5, &Packet::with_header(99, 0, vec![1]))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            MeshError::BadDestination {
+                dest: 99,
+                nodes: 16
+            }
+        );
+        assert!(err.to_string().contains("node 99"), "{err}");
+        // Nothing was queued: the mesh still drains valid traffic.
+        m.inject_packet(5, &Packet::with_header(0, 1, vec![2]));
+        assert_eq!(m.run().unwrap().energy.injections, 2);
+    }
+
+    #[test]
+    fn out_of_range_destination_is_a_coded_error_on_a_torus() {
+        let mut cfg = small_cfg(RoutingPolicy::MinimalAdaptive);
+        cfg.topology = Topology::torus(4, 4, MemifPlacement::SingleCorner);
+        let mut m = Mesh::new(cfg.with_max_cycles(1 << 16));
+        let err = m
+            .try_inject_packet(5, &Packet::with_header(16, 0, vec![1]))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            MeshError::BadDestination {
+                dest: 16,
+                nodes: 16
+            }
+        );
+        m.inject_packet(5, &Packet::with_header(0, 1, vec![2]));
+        assert_eq!(m.run().unwrap().energy.injections, 2);
     }
 
     #[test]

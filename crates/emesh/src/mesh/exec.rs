@@ -3,7 +3,11 @@
 //! One sequential drain over plain `&mut` state: every serviced cycle takes
 //! the wake-wheel bucket for that cycle and services its routers in
 //! insertion order — telemetry tap, dead check, injection, then port
-//! service rotated by the cycle number. Every router service step
+//! service rotated by the cycle number. A router is serviced at most once
+//! per cycle, and only its own service pops its inputs: no forward targets
+//! the router being serviced (DESIGN.md §11). So each input pops at most
+//! once per cycle without a per-port stamp, and port service visits only
+//! the inputs that are non-empty after injection. Every router service step
 //! (injection, wormhole forwarding, ejection, fault evaluation, latency and
 //! telemetry taps) lives here exactly once and applies its effects
 //! directly, in the order the golden transpose tests pin (DESIGN.md §11).
@@ -18,13 +22,15 @@ use sim_core::invariant;
 
 use super::soa::NO_PORT;
 use super::{m_free_at, Mesh, MeshError, MeshRunResult, RoutingPolicy, WakeWheel};
-use super::{AUDIT_INTERVAL, NEVER};
+use super::{AUDIT_INTERVAL, NEVER, NO_LINK};
 use crate::faults::PROBE_INTERVAL;
 use crate::flit::FlitKind;
 use crate::router::{Port, NUM_PORTS};
-use crate::topology::NodeCoord;
 
 const LOCAL: usize = Port::Local as usize;
+
+/// Every input port's bit in a port mask.
+const ALL_PORTS: u32 = (1 << NUM_PORTS) - 1;
 
 impl Mesh {
     /// Drive the simulation until all traffic drains. Returns completion
@@ -134,35 +140,24 @@ impl Mesh {
             return; // a hard-killed router does nothing, forever
         }
         self.try_inject(r, c);
-        for k in 0..NUM_PORTS {
-            let p = (k + c as usize) % NUM_PORTS;
-            self.try_forward(r, p, c);
+        // Visit the non-empty inputs in the order ports k + c (mod 5),
+        // k = 0..5: rotate the mask right by c mod 5 so bit k is that port.
+        let start = (c % NUM_PORTS as u64) as usize;
+        let mask = self.slab.nonempty_mask(ri);
+        let mut rotated = (mask >> start | mask << (NUM_PORTS - start)) & ALL_PORTS;
+        while rotated != 0 {
+            let p = rotated.trailing_zeros() as usize + start;
+            rotated &= rotated - 1;
+            self.try_forward(r, if p >= NUM_PORTS { p - NUM_PORTS } else { p }, c);
         }
     }
 
     /// The neighbour of `node` across `port`.
     #[inline]
     fn neighbor(&self, node: u32, port: Port) -> u32 {
-        let t = &self.cfg.topology;
-        let c = t.coord(node);
-        let (x, y) = if t.torus {
-            match port {
-                Port::North => (c.x, (c.y + t.height - 1) % t.height),
-                Port::South => (c.x, (c.y + 1) % t.height),
-                Port::East => ((c.x + 1) % t.width, c.y),
-                Port::West => ((c.x + t.width - 1) % t.width, c.y),
-                Port::Local => unreachable!("local has no neighbor"),
-            }
-        } else {
-            match port {
-                Port::North => (c.x, c.y - 1),
-                Port::South => (c.x, c.y + 1),
-                Port::East => (c.x + 1, c.y),
-                Port::West => (c.x - 1, c.y),
-                Port::Local => unreachable!("local has no neighbor"),
-            }
-        };
-        t.id(NodeCoord { x, y })
+        let n = self.links[node as usize * NUM_PORTS + port as usize];
+        debug_assert!(n != NO_LINK, "router {node} has no {port:?} neighbor");
+        n
     }
 
     /// Route a head flit at `node` toward `dest`. The adaptive arm reads
@@ -172,8 +167,8 @@ impl Mesh {
         if node == dest {
             return Port::Local;
         }
-        let c = self.cfg.topology.coord(node);
-        let d = self.cfg.topology.coord(dest);
+        let c = self.coords[node as usize];
+        let d = self.coords[dest as usize];
         if self.cfg.topology.torus {
             // Shortest-direction dimension-order routing over the wrap
             // links: x resolves first, and an equidistant tie goes East /
@@ -184,14 +179,15 @@ impl Mesh {
             // torus configs rely on the structured deadlock detector).
             let (w, h) = (self.cfg.topology.width, self.cfg.topology.height);
             if d.x != c.x {
-                let east = (d.x + w - c.x) % w;
+                let east = if d.x > c.x { d.x - c.x } else { d.x + w - c.x };
                 return if east <= w - east {
                     Port::East
                 } else {
                     Port::West
                 };
             }
-            let south = (d.y + h - c.y) % h;
+            // d.y != c.y here, since node != dest.
+            let south = if d.y > c.y { d.y - c.y } else { d.y + h - c.y };
             return if south <= h - south {
                 Port::South
             } else {
@@ -242,10 +238,6 @@ impl Mesh {
         if self.inject[ri].is_empty() {
             return;
         }
-        if self.last_inject[ri] == c {
-            self.wake(r, c + 1);
-            return;
-        }
         if !self.slab.has_space_depth(ri, LOCAL, self.cfg.buffer_depth) {
             // Woken when the local input pops.
             return;
@@ -263,7 +255,6 @@ impl Mesh {
             "buffer bound: router {r} local input exceeds depth {} after inject",
             self.cfg.buffer_depth
         );
-        self.last_inject[ri] = c;
         self.pending_inject -= 1;
         self.in_flight += 1;
         self.energy.injections += 1;
@@ -275,9 +266,6 @@ impl Mesh {
 
     fn try_forward(&mut self, r: u32, p: usize, c: u64) {
         let ri = r as usize;
-        if self.last_pop[ri * NUM_PORTS + p] == c {
-            return; // this input already popped this cycle
-        }
         let Some(head) = self.slab.front(ri, p) else {
             return;
         };
@@ -309,6 +297,10 @@ impl Mesh {
         }
 
         let n = self.neighbor(r, out);
+        invariant!(
+            n != r,
+            "self-forward: router {r} routed port {p} back into itself via {out:?}"
+        );
         let q = out.opposite() as usize;
         if let Some(f) = self.faults.as_mut() {
             if f.is_dead(n, c) {
@@ -429,11 +421,10 @@ impl Mesh {
         self.router_forwards[ri] += 1;
     }
 
-    /// Book-keeping after popping from input (r, p) at cycle c: stamp the
-    /// pop, wake the feeder (space freed) and ourselves (next flit).
+    /// Book-keeping after popping from input (r, p) at cycle c: wake the
+    /// feeder (space freed) and ourselves (next flit).
     fn after_pop(&mut self, r: u32, p: usize, c: u64) {
         let ri = r as usize;
-        self.last_pop[ri * NUM_PORTS + p] = c;
         if self.slab.input_len(ri, p) > 0 {
             self.wake(r, c + 1);
         }

@@ -204,6 +204,15 @@ impl RouterSlab {
         (owner == NO_PORT || owner as usize == p) && (last == NEVER_USED || last < cycle)
     }
 
+    /// Bit `p` set for every non-empty input `p` of router `r`.
+    #[inline]
+    pub fn nonempty_mask(&self, r: usize) -> u32 {
+        self.len[r * NUM_PORTS..(r + 1) * NUM_PORTS]
+            .iter()
+            .enumerate()
+            .fold(0, |mask, (p, &l)| mask | u32::from(l > 0) << p)
+    }
+
     /// Buffered flits across all of router `r`'s inputs.
     #[inline]
     pub fn occupancy(&self, r: usize) -> usize {
@@ -313,6 +322,8 @@ mod tests {
         slab.push_back(1, 2, some_flit(2));
         assert_eq!(slab.occupancy(1), 3);
         assert_eq!(slab.occupancy(0), 0);
+        assert_eq!(slab.nonempty_mask(1), 0b00101);
+        assert_eq!(slab.nonempty_mask(0), 0);
         assert!(!slab.is_empty(1));
     }
 }
