@@ -702,6 +702,15 @@ mod tests {
             );
             let acc = c.recv_until(&["accepted"]);
             let id = acc.get("job_id").and_then(Value::as_u64).expect("job id");
+            // Cancel only once the mesh is polling its interrupt: a cancel
+            // that lands while the job is still queued stops it before the
+            // attempt starts, which is not the path under test.
+            let running = c.recv_until(&["progress", "result", "error"]);
+            assert_eq!(
+                running.get("event").and_then(Value::as_str),
+                Some("progress"),
+                "job reports progress before it finishes: {running:?}"
+            );
             c.send(&format!(r#"{{"v":1,"verb":"cancel","job_id":{id}}}"#));
             let mut saw_cancel_ack = false;
             let terminal = loop {

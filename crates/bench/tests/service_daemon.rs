@@ -276,6 +276,10 @@ fn cancel_interrupts_a_running_job() {
     c.send(r#"{"v":1,"verb":"submit","spec":{"family":"table3","procs":256,"row_len":256}}"#);
     let (_, acc) = c.recv_until(&["accepted"]);
     let id = acc.get("job_id").and_then(Value::as_u64).expect("job id");
+    // Cancel only once the job is running: a cancel that lands while it is
+    // still queued never reaches the fabric's interrupt.
+    let (_, running) = c.recv_until(&["progress", "result", "error"]);
+    assert_eq!(event(&running), "progress", "job reports progress first");
     c.send(&format!(r#"{{"v":1,"verb":"cancel","job_id":{id}}}"#));
     let mut saw_ack = false;
     let terminal = loop {

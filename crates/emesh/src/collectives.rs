@@ -15,14 +15,17 @@
 //!
 //! Execution is **bulk-synchronous by ring round**: a phase runs as `P − 1`
 //! rounds, round `k` being the shift permutation "participant `i` sends to
-//! participant `(i + k) mod P`", each round draining on a fresh [`Mesh`]
-//! before the next starts (cycles sum). The wormhole fabric has no virtual
-//! channels, so on tori the wrap-link rings can still deadlock even under a
-//! permutation (a directional ring holds 2·width flits; one 5-flit packet
-//! per sender overfills it). The runner recovers deterministically: a round
-//! that trips the structured deadlock detector is bisected into sub-batches
-//! and retried, down to single packets, which route deadlock-free. Splits
-//! are counted in [`MeshCollectiveResult::deadlock_splits`] and the
+//! participant `(i + k) mod P`", each round draining on an idle mesh before
+//! the next starts (cycles sum). One [`Mesh`] serves the whole collective:
+//! [`Mesh::reset`] returns it to its freshly built state before every round,
+//! so only the first round pays for its allocations. The wormhole fabric has
+//! no virtual channels, so on tori the wrap-link rings can still deadlock
+//! even under a permutation (a directional ring holds 2·width flits; one
+//! 5-flit packet per sender overfills it). The runner recovers
+//! deterministically: a round that trips the structured deadlock detector is
+//! bisected into sub-batches, each drained on the reset mesh, and retried,
+//! down to single packets, which route deadlock-free. Splits are counted in
+//! [`MeshCollectiveResult::deadlock_splits`] and the
 //! `collective.deadlock_splits` telemetry counter; XY-routed meshes never
 //! split (see DESIGN.md §16).
 //!
@@ -107,23 +110,26 @@ type Round = Vec<(u32, Packet)>;
 /// The collective's phase schedules: each entry is a phase name plus its
 /// ring rounds. Split out from the runner so tests can inspect schedules
 /// without simulating.
+///
+/// # Errors
+/// [`MeshError::BadCollective`] when the topology leaves fewer than two
+/// non-memif participants or `words` is zero.
 fn phase_schedules(
     collective: Collective,
     cfg: &MeshConfig,
     words: usize,
-) -> Vec<(String, Vec<Round>)> {
+) -> Result<Vec<(String, Vec<Round>)>, MeshError> {
     let memifs = cfg.topology.memif_nodes();
     let participants: Vec<u32> = (0..cfg.topology.nodes() as u32)
         .filter(|n| !memifs.contains(n))
         .collect();
     let p = participants.len();
-    assert!(
-        p >= 2,
-        "collective needs at least two participating (non-memif) nodes, \
-         got {p} on a {} topology",
-        cfg.topology.label()
-    );
-    assert!(words >= 1, "collective payload must be at least one word");
+    if p < 2 || words == 0 {
+        return Err(MeshError::BadCollective {
+            participants: p,
+            words,
+        });
+    }
     let mut id = 0u64;
     let mut rounds = |tag: &dyn Fn(usize, usize) -> u64, payload_words: usize| -> Vec<Round> {
         // Round k is the shift permutation i → (i + k) mod P over
@@ -144,7 +150,7 @@ fn phase_schedules(
             })
             .collect()
     };
-    match collective {
+    Ok(match collective {
         Collective::AllToAll => {
             // Personalized: the block for (src i, round k) is unique.
             let tag = |i: usize, k: usize| (i * p + (i + k) % p) as u64;
@@ -170,14 +176,14 @@ fn phase_schedules(
                 ),
             ]
         }
-    }
+    })
 }
 
-/// Drain one batch of packets on a fresh mesh, bisecting deterministically
-/// on ring deadlock (a single packet always routes through). Returns
-/// `(cycles, delivered words, splits)`.
-fn drain_batch(cfg: &MeshConfig, batch: &[(u32, Packet)]) -> Result<(u64, u64, u64), MeshError> {
-    let mut mesh = Mesh::new(*cfg);
+/// Drain one batch of packets on `mesh`, reset first, bisecting
+/// deterministically on ring deadlock (a single packet always routes
+/// through). Returns `(cycles, delivered words, splits)`.
+fn drain_batch(mesh: &mut Mesh, batch: &[(u32, Packet)]) -> Result<(u64, u64, u64), MeshError> {
+    mesh.reset();
     for (src, packet) in batch {
         mesh.inject_packet(*src, packet);
     }
@@ -185,8 +191,8 @@ fn drain_batch(cfg: &MeshConfig, batch: &[(u32, Packet)]) -> Result<(u64, u64, u
         Ok(res) => Ok((res.cycles, res.sink_delivered.iter().sum(), 0)),
         Err(MeshError::Deadlock { .. }) if batch.len() > 1 => {
             let (a, b) = batch.split_at(batch.len() / 2);
-            let (ca, da, sa) = drain_batch(cfg, a)?;
-            let (cb, db, sb) = drain_batch(cfg, b)?;
+            let (ca, da, sa) = drain_batch(mesh, a)?;
+            let (cb, db, sb) = drain_batch(mesh, b)?;
             Ok((ca + cb, da + db, sa + sb + 1))
         }
         Err(e) => Err(e),
@@ -194,14 +200,15 @@ fn drain_batch(cfg: &MeshConfig, batch: &[(u32, Packet)]) -> Result<(u64, u64, u
 }
 
 /// Run `collective` over the mesh described by `cfg`, `words` payload words
-/// per block, bulk-synchronously: each ring round drains on a fresh mesh
-/// before the next starts, phases are sequential, cycles sum. With
+/// per block, bulk-synchronously: each ring round drains on a freshly reset
+/// mesh before the next starts, phases are sequential, cycles sum. With
 /// `telemetry` attached, emits one `collective.<op>.<phase>` span per phase
 /// and `collective.*` counters.
 ///
-/// # Panics
-/// Panics if the topology leaves fewer than two non-memif participants or
-/// `words` is zero; mesh-level failures surface as [`MeshError`].
+/// # Errors
+/// [`MeshError::BadCollective`] if the topology leaves fewer than two
+/// non-memif participants or `words` is zero; mesh-level failures surface
+/// as their own [`MeshError`] variants.
 pub fn run_mesh_collective(
     collective: Collective,
     cfg: MeshConfig,
@@ -219,7 +226,9 @@ pub fn run_mesh_collective(
         deadlock_splits: 0,
         phases: Vec::new(),
     };
-    for (name, rounds) in phase_schedules(collective, &cfg, words) {
+    let schedules = phase_schedules(collective, &cfg, words)?;
+    let mut mesh = Mesh::new(cfg);
+    for (name, rounds) in schedules {
         let mut phase = MeshPhase {
             name,
             cycles: 0,
@@ -230,7 +239,7 @@ pub fn run_mesh_collective(
         let mut phase_splits = 0u64;
         for round in rounds {
             phase.packets += round.len() as u64;
-            let (cycles, delivered, splits) = drain_batch(&cfg, &round)?;
+            let (cycles, delivered, splits) = drain_batch(&mut mesh, &round)?;
             phase.cycles += cycles;
             phase.delivered_words += delivered;
             phase_splits += splits;
@@ -362,10 +371,40 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least two participating")]
     fn top_edge_on_one_row_leaves_no_participants() {
         // Every node of a 4×1 TopEdge grid is a memif: nothing to collect.
         let c = cfg(Topology::rect(4, 1, MemifPlacement::TopEdge));
-        let _ = run_mesh_collective(Collective::AllGather, c, 4, None);
+        let err = run_mesh_collective(Collective::AllGather, c, 4, None).unwrap_err();
+        assert_eq!(
+            err,
+            MeshError::BadCollective {
+                participants: 0,
+                words: 4
+            }
+        );
+        assert!(
+            err.to_string().contains("at least two participating"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn empty_payload_is_a_coded_error() {
+        let c = cfg(Topology::square(16, MemifPlacement::SingleCorner));
+        for collective in [
+            Collective::AllToAll,
+            Collective::AllGather,
+            Collective::AllReduce,
+        ] {
+            let err = run_mesh_collective(collective, c, 0, None).unwrap_err();
+            assert_eq!(
+                err,
+                MeshError::BadCollective {
+                    participants: 15,
+                    words: 0
+                },
+                "{collective:?}"
+            );
+        }
     }
 }

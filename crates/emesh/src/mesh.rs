@@ -25,14 +25,15 @@
 //! Wakeups live in a bucketed timing wheel (`WakeWheel`): near-future
 //! cycles map to a ring of per-cycle vectors (push/pop are O(1) appends in
 //! insertion order), far-future cycles spill to a small overflow heap.
-//! Redundant wakeups are suppressed at *push* time via a per-router
-//! `next_wake` array: a wake for router `r` at cycle `c` is dropped when a
-//! wake at some cycle ≤ `c` is already pending, because servicing `r` at
-//! the earlier cycle re-derives every later wake condition (a still-future
-//! `ready_at`, a busy reorder unit, a held channel each re-arm their own
-//! wakeup). This preserves the heap scheduler's exact (cycle, insertion)
-//! service order — enforced bit-for-bit by the golden transpose tests —
-//! while skipping most of its queue traffic.
+//! Each router keeps a 64-bit mask of the bucketed cycles it is already
+//! queued for (bit `cycle % WINDOW`), so a bucket holds at most one entry
+//! per router: a wake for router `r` at cycle `c` is dropped when `r` is
+//! already bucketed at `c`. Dropping a later duplicate never moves a
+//! service — the first entry for `(r, c)` services `r`, and `processed_at`
+//! would skip every later one — so the heap scheduler's exact (cycle,
+//! insertion) service order holds, enforced bit-for-bit by the golden
+//! transpose tests. Overflow wakes bypass the mask; `processed_at` skips
+//! their duplicates once they merge into a bucket.
 //!
 //! The service loop itself (`mesh/exec.rs`) is one sequential drain over
 //! plain `&mut` state, with faults, telemetry and latency tracking applied
@@ -220,6 +221,15 @@ pub enum MeshError {
         /// Number of nodes in the mesh.
         nodes: usize,
     },
+    /// A collective was asked for with fewer than two participating
+    /// (non-memory-interface) nodes or an empty payload, so it has no
+    /// traffic to schedule.
+    BadCollective {
+        /// Non-memory-interface nodes of the topology.
+        participants: usize,
+        /// Payload words per block that were asked for.
+        words: usize,
+    },
     /// A packet was injected at a hard-killed router.
     DeadNode {
         /// The offending node id.
@@ -231,7 +241,8 @@ pub enum MeshError {
     /// (token, deadline, or deterministic cycle bound). Carries the partial
     /// progress reached, so a supervisor can report how far the run got.
     /// The mesh itself is left mid-flight; cancelled runs are not resumable
-    /// — re-run from a fresh mesh (determinism makes the rerun exact).
+    /// — re-run from a fresh or [`Mesh::reset`] mesh (determinism makes
+    /// the rerun exact).
     Cancelled {
         /// The serviced cycle the interrupt fired at.
         at_cycle: u64,
@@ -283,6 +294,15 @@ impl std::fmt::Display for MeshError {
                     "packet addressed to node {dest} outside the {nodes}-node mesh"
                 )
             }
+            MeshError::BadCollective {
+                participants,
+                words,
+            } => write!(
+                f,
+                "collective needs at least two participating (non-memif) nodes \
+                 and one payload word, got {participants} participants and \
+                 {words} words"
+            ),
             MeshError::DeadNode { node, killed_at } => {
                 write!(
                     f,
@@ -394,6 +414,10 @@ impl PartialOrd for Wake {
 /// direct push for it.
 struct WakeWheel {
     buckets: Vec<Vec<u32>>,
+    /// Per router, bit `cycle % WINDOW` set while the router has an entry
+    /// in that cycle's bucket (set by the first push, cleared by
+    /// [`WakeWheel::drained`]).
+    queued: Vec<u64>,
     /// Cycle the wheel is positioned at; bucket `cursor % WINDOW` holds it.
     cursor: u64,
     /// Total entries across all buckets (not counting the overflow heap).
@@ -402,15 +426,19 @@ struct WakeWheel {
     seq: u64,
 }
 
+// Every in-window cycle needs its own bit of a router's `queued` mask.
+const _: () = assert!(WakeWheel::WINDOW <= u64::BITS as u64);
+
 impl WakeWheel {
     /// Ring size in cycles. Power of two; must exceed the longest
     /// self-rearm distance (`1 + max(t_r, t_p)` in practice — the overflow
     /// heap keeps correctness for configs beyond it).
     const WINDOW: u64 = 64;
 
-    fn new() -> Self {
+    fn new(routers: usize) -> Self {
         WakeWheel {
             buckets: (0..Self::WINDOW).map(|_| Vec::new()).collect(),
+            queued: vec![0; routers],
             cursor: 0,
             bucket_pending: 0,
             overflow: BinaryHeap::new(),
@@ -418,9 +446,33 @@ impl WakeWheel {
         }
     }
 
+    /// Empty the wheel and rewind it to cycle 0, keeping its allocations.
+    fn clear(&mut self) {
+        for b in &mut self.buckets {
+            b.clear();
+        }
+        self.queued.fill(0);
+        self.cursor = 0;
+        self.bucket_pending = 0;
+        self.overflow.clear();
+        self.seq = 0;
+    }
+
+    /// Queue `router` at `cycle`, unless it is already bucketed there: the
+    /// duplicate would pop as a no-op after the first entry serviced the
+    /// router. Only exact duplicates go — a stronger-looking "skip if any
+    /// earlier wake is pending" rule re-pushes the pair later and reorders
+    /// same-cycle service.
+    #[inline]
     fn push(&mut self, router: u32, cycle: u64) {
         debug_assert!(cycle >= self.cursor, "wakeup in the past");
         if cycle - self.cursor < Self::WINDOW {
+            let bit = 1u64 << (cycle % Self::WINDOW);
+            let queued = &mut self.queued[router as usize];
+            if *queued & bit != 0 {
+                return;
+            }
+            *queued |= bit;
             self.buckets[(cycle % Self::WINDOW) as usize].push(router);
             self.bucket_pending += 1;
         } else {
@@ -450,6 +502,13 @@ impl WakeWheel {
             best = Some(best.map_or(w.cycle, |b| b.min(w.cycle)));
         }
         best
+    }
+
+    /// `router`'s entry in the bucket of `cycle` has been drained: a wake
+    /// at `cycle % WINDOW` now belongs to a later lap of the ring.
+    #[inline]
+    fn drained(&mut self, router: usize, cycle: u64) {
+        self.queued[router] &= !(1u64 << (cycle % Self::WINDOW));
     }
 
     /// Move the cursor to `c` and merge any overflow entries for `c` in
@@ -501,11 +560,8 @@ pub struct Mesh {
     latency: Option<Histogram>,
     wheel: WakeWheel,
     /// Last cycle each router was processed (a router runs at most once per
-    /// cycle; stale wheel entries pop as no-ops).
+    /// cycle; duplicate overflow entries pop as no-ops).
     processed_at: Vec<u64>,
-    /// Earliest pending wakeup per router ([`NEVER`] = none). Push-time
-    /// dedup: a wake at cycle ≥ this is redundant.
-    next_wake: Vec<u64>,
     in_flight: u64,
     pending_inject: u64,
     energy: EnergyCounters,
@@ -610,9 +666,8 @@ impl Mesh {
             collect_sink_words: false,
             inject_cycle: HashMap::new(),
             latency: None,
-            wheel: WakeWheel::new(),
+            wheel: WakeWheel::new(n),
             processed_at: vec![NEVER; n],
-            next_wake: vec![NEVER; n],
             in_flight: 0,
             pending_inject: 0,
             energy: EnergyCounters::default(),
@@ -624,6 +679,43 @@ impl Mesh {
             progress_cycle: 0,
             interrupt: None,
         }
+    }
+
+    /// Return the mesh to the state [`Mesh::new`] builds from its
+    /// configuration, keeping its allocations: time rewinds to cycle 0,
+    /// every buffer, queue, counter and memory interface empties, and the
+    /// fault layer, telemetry, interrupt, latency tracking and sink-word
+    /// collection are detached as on a fresh mesh. A reset mesh runs any
+    /// workload exactly as a fresh one does, whether its last run drained,
+    /// deadlocked or was cancelled.
+    pub fn reset(&mut self) {
+        self.slab.clear();
+        for q in &mut self.inject {
+            q.clear();
+        }
+        for m in &mut self.memifs {
+            *m = MemIf::new(self.cfg.memif);
+        }
+        self.sink_delivered.fill(0);
+        self.sink_last_cycle.fill(0);
+        for w in &mut self.sink_words {
+            w.clear();
+        }
+        self.collect_sink_words = false;
+        self.inject_cycle.clear();
+        self.latency = None;
+        self.wheel.clear();
+        self.processed_at.fill(NEVER);
+        self.in_flight = 0;
+        self.pending_inject = 0;
+        self.energy = EnergyCounters::default();
+        self.router_forwards.fill(0);
+        self.now = 0;
+        self.faults = None;
+        self.telemetry = None;
+        self.progress_metric = 0;
+        self.progress_cycle = 0;
+        self.interrupt = None;
     }
 
     /// Install a cooperative [`Interrupt`]: the run loop polls it once per
@@ -751,7 +843,7 @@ impl Mesh {
         } else {
             self.now
         };
-        self.wake(node, at);
+        self.wheel.push(node, at);
         Ok(())
     }
 
@@ -763,27 +855,6 @@ impl Mesh {
     /// Payload words delivered to node sinks (only if collection enabled).
     pub fn sink_words(&self, node: u32) -> &[u64] {
         &self.sink_words[node as usize]
-    }
-
-    /// Schedule a wakeup for `router` at `cycle`, deduplicating at push
-    /// time.
-    #[inline]
-    fn wake(&mut self, router: u32, cycle: u64) {
-        let ri = router as usize;
-        if self.next_wake[ri] == cycle {
-            // A wake for this router at this exact cycle is already
-            // pending; the duplicate would pop as a no-op (the first entry
-            // services the router, `processed_at` skips the rest). Dropping
-            // *only* exact duplicates keeps every surviving entry at the
-            // seed scheduler's (cycle, insertion) position — a
-            // stronger-looking "skip if any earlier wake is pending" rule
-            // re-pushes the pair later and reorders same-cycle service.
-            return;
-        }
-        if cycle < self.next_wake[ri] {
-            self.next_wake[ri] = cycle;
-        }
-        self.wheel.push(router, cycle);
     }
 
     /// Flit conservation (DESIGN.md §12): `in_flight` counts exactly the

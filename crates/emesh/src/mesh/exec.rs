@@ -104,20 +104,14 @@ impl Mesh {
         self.finish()
     }
 
-    /// Drain bookkeeping for one bucket entry: clear the `next_wake` stamp
-    /// and dedup via `processed_at`. Returns whether the entry should
-    /// actually be serviced.
+    /// Drain bookkeeping for one bucket entry: clear the router's queued
+    /// bit for `c` and dedup via `processed_at`. Returns whether the entry
+    /// should actually be serviced.
     #[inline]
     fn bookkeep(&mut self, ri: usize, c: u64) -> bool {
-        if self.next_wake[ri] == c {
-            // This entry is the router's earliest pending wake; clear it
-            // so wakes derived while processing re-arm the wheel.
-            // (`next_wake > c` means this entry is stale — a later pending
-            // wake exists and must stay tracked.)
-            self.next_wake[ri] = NEVER;
-        }
+        self.wheel.drained(ri, c);
         if self.processed_at[ri] == c {
-            return false; // redundant wakeup for a cycle already serviced
+            return false; // a merged overflow duplicate of a serviced entry
         }
         self.processed_at[ri] = c;
         true
@@ -258,27 +252,28 @@ impl Mesh {
         self.pending_inject -= 1;
         self.in_flight += 1;
         self.energy.injections += 1;
-        self.wake(r, ready);
+        self.wheel.push(r, ready);
         if !self.inject[ri].is_empty() {
-            self.wake(r, c + 1);
+            self.wheel.push(r, c + 1);
         }
     }
 
     fn try_forward(&mut self, r: u32, p: usize, c: u64) {
         let ri = r as usize;
-        let Some(head) = self.slab.front(ri, p) else {
+        let Some(head) = self.slab.front_ref(ri, p) else {
             return;
         };
-        if head.ready_at > c {
-            self.wake(r, head.ready_at);
+        let (ready_at, dest, kind) = (head.ready_at, head.dest, head.kind);
+        if ready_at > c {
+            self.wheel.push(r, ready_at);
             return;
         }
         // Output port: continuation of an open wormhole, or fresh route.
         let out = match self.slab.route(ri, p) {
             Some(o) => Port::from_index(o as usize),
             None => {
-                debug_assert!(head.kind.is_head(), "body flit without a route");
-                self.route(r, head.dest)
+                debug_assert!(kind.is_head(), "body flit without a route");
+                self.route(r, dest)
             }
         };
         let o = out as usize;
@@ -286,7 +281,7 @@ impl Mesh {
             // Channel owned by another packet (woken on release) or used
             // this cycle (retry next).
             if self.slab.last_used(ri, o) == c {
-                self.wake(r, c + 1);
+                self.wheel.push(r, c + 1);
             }
             return;
         }
@@ -308,13 +303,13 @@ impl Mesh {
                 // ever answer, so this is a livelock by design — the
                 // watchdog converts it into a structured diagnostic.
                 f.stats.probes += 1;
-                self.wake(r, c + PROBE_INTERVAL);
+                self.wheel.push(r, c + PROBE_INTERVAL);
                 return;
             }
             let until = f.down_until(ri, o);
             if until > c {
                 // Link still down from an earlier outage; resume then.
-                self.wake(r, until);
+                self.wheel.push(r, until);
                 return;
             }
         }
@@ -329,7 +324,7 @@ impl Mesh {
             // One outage trial per committed traversal of link (r, out).
             if f.link_fire(ri, o) {
                 let until = f.take_down(ri, o, c);
-                self.wake(r, until);
+                self.wheel.push(r, until);
                 return;
             }
         }
@@ -358,7 +353,7 @@ impl Mesh {
         self.energy.router_traversals += 1;
         self.energy.link_hops += 1;
         self.router_forwards[ri] += 1;
-        self.wake(n, ready);
+        self.wheel.push(n, ready);
     }
 
     fn eject(&mut self, r: u32, p: usize, c: u64) {
@@ -367,7 +362,7 @@ impl Mesh {
         if let Some(slot) = memif {
             if !self.memifs[slot].can_accept(c) {
                 let free = m_free_at(&self.memifs[slot], c);
-                self.wake(r, free);
+                self.wheel.push(r, free);
                 return;
             }
         }
@@ -426,16 +421,16 @@ impl Mesh {
     fn after_pop(&mut self, r: u32, p: usize, c: u64) {
         let ri = r as usize;
         if self.slab.input_len(ri, p) > 0 {
-            self.wake(r, c + 1);
+            self.wheel.push(r, c + 1);
         }
         if p == LOCAL {
             // Feeder is the local injector.
             if !self.inject[ri].is_empty() {
-                self.wake(r, c + 1);
+                self.wheel.push(r, c + 1);
             }
         } else {
             let feeder = self.neighbor(r, Port::from_index(p));
-            self.wake(feeder, c + 1);
+            self.wheel.push(feeder, c + 1);
         }
     }
 
@@ -452,7 +447,7 @@ impl Mesh {
             self.slab.set_owner_raw(ri, o, NO_PORT);
             self.slab.set_route_raw(ri, p, NO_PORT);
             // Channel released: contenders at this router may proceed.
-            self.wake(r, c + 1);
+            self.wheel.push(r, c + 1);
         }
     }
 }

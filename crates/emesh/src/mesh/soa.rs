@@ -18,9 +18,11 @@
 //! adjacent, and the flit slots packed at `cap` per input port where `cap`
 //! is the depth rounded up to a power of two (minimum 2). `Option<u8>`
 //! fields are packed as `0xFF = None`, `last_used` keeps the
-//! `u64::MAX = never` convention of [`crate::router::OutputPort`]. All
-//! accessors take `(router, port)` coordinates; reads borrow `&self`,
-//! writes `&mut self`.
+//! `u64::MAX = never` convention of [`crate::router::OutputPort`]. Each
+//! router also keeps a byte with bit `p` set while input `p` is non-empty,
+//! updated by every push and pop, so the service loop reads its port mask
+//! in one load. All accessors take `(router, port)` coordinates; reads
+//! borrow `&self`, writes `&mut self`.
 
 use crate::flit::{Flit, FlitKind};
 use crate::router::NUM_PORTS;
@@ -55,6 +57,8 @@ pub(crate) struct RouterSlab {
     head: Vec<u32>,
     /// Buffered flit count per input port.
     len: Vec<u32>,
+    /// Per router, bit `p` set while input `p` buffers a flit.
+    nonempty: Vec<u8>,
     /// Assigned output per input port (`NO_PORT` = none).
     route: Vec<u8>,
     /// Owning input per output port (`NO_PORT` = none).
@@ -74,6 +78,7 @@ impl RouterSlab {
             flits: vec![EMPTY_FLIT; n * NUM_PORTS * cap],
             head: vec![0; n * NUM_PORTS],
             len: vec![0; n * NUM_PORTS],
+            nonempty: vec![0; n],
             route: vec![NO_PORT; n * NUM_PORTS],
             owner: vec![NO_PORT; n * NUM_PORTS],
             last_used: vec![NEVER_USED; n * NUM_PORTS],
@@ -86,9 +91,21 @@ impl RouterSlab {
         self.cap
     }
 
+    /// Empty every input and clear every route, owner and output stamp,
+    /// as [`RouterSlab::new`] leaves them, keeping the allocations. Stale
+    /// flit slots stay behind; they are unreachable once every length is 0.
+    pub fn clear(&mut self) {
+        self.head.fill(0);
+        self.len.fill(0);
+        self.nonempty.fill(0);
+        self.route.fill(NO_PORT);
+        self.owner.fill(NO_PORT);
+        self.last_used.fill(NEVER_USED);
+    }
+
     /// True when router `r` buffers nothing.
     pub fn is_empty(&self, r: usize) -> bool {
-        self.occupancy(r) == 0
+        self.nonempty[r] == 0
     }
 
     /// Routers in the slab.
@@ -114,12 +131,12 @@ impl RouterSlab {
         i * self.cap + ((self.head[i] as usize + k) & (self.cap - 1))
     }
 
-    /// Oldest buffered flit of input `p` of router `r`, if any (copied —
-    /// flits are small and `Copy`).
+    /// Oldest buffered flit of input `p` of router `r`, if any, read in
+    /// place.
     #[inline]
-    pub fn front(&self, r: usize, p: usize) -> Option<Flit> {
+    pub fn front_ref(&self, r: usize, p: usize) -> Option<&Flit> {
         let i = Self::port(r, p);
-        (self.len[i] > 0).then(|| self.flits[self.slot(i, 0)])
+        (self.len[i] > 0).then(|| &self.flits[self.slot(i, 0)])
     }
 
     /// Append a flit to input `p` of router `r`. Panics if the ring's
@@ -133,16 +150,20 @@ impl RouterSlab {
         let slot = self.slot(i, len);
         self.flits[slot] = flit;
         self.len[i] += 1;
+        self.nonempty[r] |= 1 << p;
     }
 
     /// Remove and return the oldest buffered flit of input `p` of router
     /// `r`.
     #[inline]
     pub fn pop_front(&mut self, r: usize, p: usize) -> Option<Flit> {
-        let flit = self.front(r, p)?;
+        let flit = *self.front_ref(r, p)?;
         let i = Self::port(r, p);
         self.head[i] = self.head[i].wrapping_add(1);
         self.len[i] -= 1;
+        if self.len[i] == 0 {
+            self.nonempty[r] &= !(1 << p);
+        }
         Some(flit)
     }
 
@@ -207,10 +228,7 @@ impl RouterSlab {
     /// Bit `p` set for every non-empty input `p` of router `r`.
     #[inline]
     pub fn nonempty_mask(&self, r: usize) -> u32 {
-        self.len[r * NUM_PORTS..(r + 1) * NUM_PORTS]
-            .iter()
-            .enumerate()
-            .fold(0, |mask, (p, &l)| mask | u32::from(l > 0) << p)
+        u32::from(self.nonempty[r])
     }
 
     /// Buffered flits across all of router `r`'s inputs.
@@ -257,7 +275,7 @@ mod tests {
             next += 1;
             assert_eq!(v.input_len(1, 3), 2);
             assert!(!v.has_space_depth(1, 3, 2));
-            assert_eq!(v.front(1, 3).unwrap().payload, expect);
+            assert_eq!(v.front_ref(1, 3).unwrap().payload, expect);
             assert_eq!(v.pop_front(1, 3).unwrap().payload, expect);
             assert_eq!(v.pop_front(1, 3).unwrap().payload, expect + 1);
             expect += 2;
@@ -325,5 +343,15 @@ mod tests {
         assert_eq!(slab.nonempty_mask(1), 0b00101);
         assert_eq!(slab.nonempty_mask(0), 0);
         assert!(!slab.is_empty(1));
+        // The mask tracks pops: an input's bit clears only when it empties.
+        slab.pop_front(1, 2);
+        assert_eq!(slab.nonempty_mask(1), 0b00101);
+        slab.pop_front(1, 2);
+        slab.pop_front(1, 0);
+        assert_eq!(slab.nonempty_mask(1), 0);
+        assert!(slab.is_empty(1));
+        slab.push_back(1, 4, some_flit(3));
+        slab.clear();
+        assert_eq!((slab.nonempty_mask(1), slab.occupancy(1)), (0, 0));
     }
 }

@@ -18,9 +18,13 @@
 //! A second grid leaves the square single-corner mesh: a non-square 6×5
 //! mesh and the 6×5 torus, at buffer depths 1 and 4 and at `t_r = 3`,
 //! under both policies, with memory-interface traffic and a second wave
-//! injected after the first drains.
+//! injected after the first drains. Two more runs of that workload wake
+//! routers 64 or more cycles ahead (`t_p = 80`, and 100-cycle link
+//! outages), past the wake wheel's window, so its overflow heap is pinned
+//! too.
 
 use emesh::flit::Packet;
+use emesh::memif::MemifConfig;
 use emesh::mesh::{Mesh, MeshConfig, MeshRunResult, RoutingPolicy, RunWarning};
 use emesh::topology::{MemifPlacement, Topology};
 use emesh::workloads::{load_transpose, load_uniform_random};
@@ -168,8 +172,18 @@ fn run_geometry(torus: bool, policy: RoutingPolicy, depth: usize, t_r: u64) -> (
         .with_buffers(depth)
         .with_t_r(t_r)
         .with_max_cycles(1 << 20);
+    run_two_waves(cfg, None)
+}
+
+/// The two-wave workload of [`run_geometry`] on `cfg`, with `faults`
+/// attached when given.
+fn run_two_waves(cfg: MeshConfig, faults: Option<MeshFaultConfig>) -> (u64, u64, u64) {
+    let topology = cfg.topology;
     let (mut mesh, mut id) = load_uniform_random(cfg, 8, 4, 42);
     mesh.collect_sink_words(true);
+    if let Some(f) = faults {
+        mesh.enable_faults(f);
+    }
     mesh.track_latency(4, 256);
     let n = topology.nodes() as u32;
     for src in 0..n {
@@ -233,6 +247,46 @@ fn geometry_grid_matches_pinned_observables() {
         })
         .collect();
     assert_eq!(got, GEOMETRY_GRID.to_vec());
+}
+
+/// `(case, first-wave cycles, second-wave cycles, fingerprint)` of runs
+/// whose wakeups land 64 or more cycles ahead of the cycle being serviced:
+/// beyond the wake wheel's window, so they take its overflow path. A
+/// 6×5 mesh with `t_p = 80` at every memory interface (a blocked ejection
+/// sleeps until the reorder unit frees), and the same mesh at `t_p = 1`
+/// with transient link outages lasting 100 cycles.
+#[rustfmt::skip]
+const FAR_WAKES: [(&str, u64, u64, u64); 2] = [
+    ("t_p=80", 1398, 1412, 0x0b13_d665_8dfe_cf72),
+    ("link_down_cycles=100", 1918, 2130, 0x96a5_f354_c2bc_9b13),
+];
+
+#[test]
+fn far_future_wakes_match_pinned_observables() {
+    let cfg = |t_p: u64| {
+        MeshConfig::paper_default()
+            .with_topology(Topology::rect(6, 5, MemifPlacement::FourCorners))
+            .with_memif(MemifConfig {
+                t_p,
+                ..Default::default()
+            })
+            .with_max_cycles(1 << 20)
+    };
+    let outages = MeshFaultConfig {
+        seed: 5,
+        link_down_rate: 0.05,
+        link_down_cycles: 100,
+        ..Default::default()
+    };
+    let runs = [
+        ("t_p=80", run_two_waves(cfg(80), None)),
+        ("link_down_cycles=100", run_two_waves(cfg(1), Some(outages))),
+    ];
+    let got: Vec<_> = runs
+        .iter()
+        .map(|&(case, (first, second, fp))| (case, first, second, fp))
+        .collect();
+    assert_eq!(got, FAR_WAKES.to_vec());
 }
 
 /// An instrumented run: telemetry registry, latency histogram, and (when
