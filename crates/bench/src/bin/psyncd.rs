@@ -8,8 +8,7 @@
 //! exits 0.
 //!
 //! ```text
-//! psyncd [--socket PATH] [--workers N] [--queue-cap N]
-//!        [--cache-bytes N] [--max-attempts N]
+//! psyncd [--socket PATH] [--workers N] [--queue-cap N] [--cache-bytes N]
 //! ```
 
 use std::path::PathBuf;
@@ -20,7 +19,7 @@ use std::sync::Arc;
 use bench::service::daemon::{install_sigterm, serve, ServiceConfig};
 
 const USAGE: &str = "usage: psyncd [--socket PATH] [--workers N] [--queue-cap N] \
-                     [--cache-bytes N] [--max-attempts N]";
+                     [--cache-bytes N]";
 
 fn parse_args() -> Result<ServiceConfig, String> {
     let mut cfg = ServiceConfig::default();
@@ -49,14 +48,6 @@ fn parse_args() -> Result<ServiceConfig, String> {
                 cfg.cache_budget_bytes = value("--cache-bytes")?
                     .parse()
                     .map_err(|e| format!("--cache-bytes: {e}"))?;
-            }
-            "--max-attempts" => {
-                cfg.max_attempts = value("--max-attempts")?
-                    .parse()
-                    .map_err(|e| format!("--max-attempts: {e}"))?;
-                if cfg.max_attempts == 0 {
-                    return Err("--max-attempts must be >= 1".to_string());
-                }
             }
             "--help" | "-h" => {
                 println!("{USAGE}");

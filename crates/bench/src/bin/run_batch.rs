@@ -83,7 +83,7 @@ struct BatchRow {
     /// `pass` / `cached` / `deadline` / `panicked` / `failed` / `cancelled`.
     outcome: String,
     attempts: u32,
-    /// Deterministic backoff total (ms) the retry policy charged.
+    /// Always 0: jobs are not retried; kept for the row format and golden.
     backoff_ms: u64,
     /// Result fingerprint (perf-gate witness) for pass/cached rows.
     fingerprint: Option<String>,
@@ -118,7 +118,7 @@ fn row_for(report: &JobReport) -> BatchRow {
         job: report.name.clone(),
         outcome: outcome.to_string(),
         attempts: report.attempts,
-        backoff_ms: report.backoff_ms_total,
+        backoff_ms: 0,
         fingerprint,
         detail,
     }
@@ -162,10 +162,6 @@ fn main() -> Result<(), BenchError> {
     let sup = Supervisor::new(SupervisorConfig {
         workers: 1,
         queue_cap: 16,
-        max_attempts: 3,
-        backoff_base_ms: 10,
-        backoff_cap_ms: 1000,
-        seed: 7,
     });
 
     // The four-outcome smoke batch. `--timeout-s` additionally bounds the

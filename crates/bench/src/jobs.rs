@@ -98,11 +98,6 @@ pub struct Table3Spec {
     pub threads: usize,
 }
 
-/// Deprecated name of [`Table3Spec`], kept so external callers get a
-/// warning, not a break.
-#[deprecated(since = "0.2.0", note = "renamed to Table3Spec (JobSpec redesign)")]
-pub type Table3Config = Table3Spec;
-
 impl Table3Spec {
     /// The `--quick` configuration (256 processors, 256-sample rows).
     pub fn quick() -> Self {
@@ -676,8 +671,7 @@ impl JobSpec {
     ///
     /// # Errors
     /// A classified [`WorkError`]: `Cancelled` when the interrupt fired,
-    /// `Transient` for conditions worth a retry (mesh no-progress
-    /// watchdog), `Fatal` for everything else.
+    /// `Fatal` for everything else.
     pub fn run(
         &self,
         tracing: bool,
@@ -734,15 +728,12 @@ impl JobSpec {
     }
 }
 
-/// Classify a fabric error for the retry policy.
+/// Classify a fabric error for the supervisor. A watchdog `NoProgress` is
+/// `Fatal` like every other non-cancel error: fault draws are deterministic,
+/// so the same spec fails the same way again.
 fn classify_mesh(e: MeshError) -> WorkError {
     match &e {
         MeshError::Cancelled { .. } => WorkError::Cancelled {
-            detail: e.to_string(),
-        },
-        // A mesh that deadlocks or trips its watchdog under a fault layer
-        // is worth one more try; real bugs fail again identically.
-        MeshError::NoProgress { .. } => WorkError::Transient {
             detail: e.to_string(),
         },
         _ => WorkError::Fatal {
@@ -1702,7 +1693,7 @@ pub fn cache_key(spec: &JobSpec, timeout_s: Option<f64>) -> u64 {
 ///   verb). The watch is armed **now**, at build time, so a cancel that
 ///   lands while the job is still queued is honored before any simulation
 ///   starts. It composes with whatever interrupt the supervisor arms
-///   (per-attempt deadline + batch-wide cancel).
+///   (per-job deadline + batch-wide cancel).
 /// * `progress` — an optional probe every fabric poll publishes its
 ///   position to (the daemon's `progress` event stream).
 pub fn supervised_work(
@@ -1835,13 +1826,6 @@ mod tests {
         assert!(err.contains("at least 2"), "{err}");
         let err = parse(r#"{"family":"collectives","torus":3}"#).unwrap_err();
         assert!(err.contains("torus"), "{err}");
-    }
-
-    #[test]
-    fn deprecated_alias_still_compiles() {
-        #[allow(deprecated)]
-        let cfg: Table3Config = Table3Spec::quick();
-        assert_eq!(cfg, Table3Spec::quick());
     }
 
     #[test]
@@ -2145,5 +2129,74 @@ mod tests {
         work(None).expect("tiny job runs");
         assert!(probe.polls() > 0, "fabric polls published progress");
         assert!(probe.cycle().is_some());
+    }
+
+    /// A mesh whose XY path from node 15 to the corner memif crosses a
+    /// router killed at cycle 0, with retransmission off: the watchdog
+    /// converts the livelock into `NoProgress`.
+    fn wedged_mesh_error() -> MeshError {
+        use emesh::flit::Packet;
+        use emesh::memif::MemifConfig;
+        use emesh::mesh::Mesh;
+        use emesh::RouterKill;
+
+        let mut m = Mesh::new(MeshConfig {
+            topology: Topology::square(16, MemifPlacement::SingleCorner),
+            t_r: 1,
+            policy: RoutingPolicy::Xy,
+            memif: MemifConfig::default(),
+            buffer_depth: 2,
+            max_cycles: 1 << 24,
+            threads: 1,
+        });
+        m.enable_faults(MeshFaultConfig {
+            router_kills: vec![RouterKill {
+                router: 13,
+                at_cycle: 0,
+            }],
+            retransmit: false,
+            watchdog_cycles: 500,
+            ..Default::default()
+        });
+        for e in 0..4u64 {
+            m.inject_packet(15, &Packet::with_header(0, e, vec![e]));
+        }
+        m.run()
+            .expect_err("the killed router wedges the only XY path")
+    }
+
+    #[test]
+    fn no_progress_replays_identically_and_is_fatal_after_one_attempt() {
+        use crate::supervisor::{JobError, Supervisor, SupervisorConfig};
+
+        let first = wedged_mesh_error();
+        assert!(
+            matches!(first, MeshError::NoProgress { .. }),
+            "expected NoProgress, got {first:?}"
+        );
+        // Same cycle, same diagnostic: running it again changes nothing.
+        assert_eq!(wedged_mesh_error(), first);
+        let detail = first.to_string();
+        match classify_mesh(first) {
+            WorkError::Fatal { detail: d } => assert_eq!(d, detail),
+            other => panic!("expected Fatal, got {other:?}"),
+        }
+
+        let sup = Supervisor::new(SupervisorConfig {
+            workers: 1,
+            queue_cap: 1,
+        });
+        sup.submit(
+            "wedged",
+            None,
+            Arc::new(|_| Err(classify_mesh(wedged_mesh_error()))),
+        )
+        .unwrap();
+        let reports = sup.shutdown();
+        assert_eq!(reports[0].attempts, 1);
+        assert_eq!(
+            reports[0].result.as_ref().unwrap_err(),
+            &JobError::Failed { detail }
+        );
     }
 }

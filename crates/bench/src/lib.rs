@@ -471,40 +471,6 @@ pub fn write_results_at(rel: &str, contents: &str) -> Result<PathBuf, BenchError
     Ok(path)
 }
 
-/// Render an aligned text table.
-#[deprecated(since = "0.1.0", note = "use Experiment::table instead")]
-pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
-    render(title, header, rows)
-}
-
-/// Where result JSON lands (workspace `results/`).
-#[deprecated(since = "0.1.0", note = "Experiment owns the results path now")]
-pub fn results_dir() -> PathBuf {
-    results_dir_path()
-}
-
-/// Serialize experiment rows to `results/<name>.json`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use Experiment::rows + Experiment::run instead"
-)]
-pub fn write_json<T: Serialize>(name: &str, value: &T) -> Result<(), BenchError> {
-    if std::env::args().any(|a| a == "--no-json") {
-        return Ok(());
-    }
-    let s = serde_json::to_string_pretty(value).map_err(|source| BenchError::Serialize {
-        name: name.to_string(),
-        source,
-    })?;
-    write_results_file(name, &s)
-}
-
-/// `--quick` flag: harnesses shrink the expensive experiments.
-#[deprecated(since = "0.1.0", note = "use Experiment::quick instead")]
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
 /// Format a float with `d` decimals.
 pub fn f(v: f64, d: usize) -> String {
     format!("{v:.d$}")

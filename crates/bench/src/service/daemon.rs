@@ -81,8 +81,6 @@ pub struct ServiceConfig {
     pub queue_cap: usize,
     /// Result-cache byte budget (`0` = unbounded).
     pub cache_budget_bytes: u64,
-    /// Attempts per job (transient-retry policy).
-    pub max_attempts: u32,
 }
 
 impl Default for ServiceConfig {
@@ -92,7 +90,6 @@ impl Default for ServiceConfig {
             workers: 2,
             queue_cap: 16,
             cache_budget_bytes: 64 << 20,
-            max_attempts: 3,
         }
     }
 }
@@ -459,8 +456,6 @@ pub fn serve(cfg: ServiceConfig, shutdown: Arc<AtomicBool>) -> std::io::Result<(
         sup: Supervisor::new(SupervisorConfig {
             workers: cfg.workers,
             queue_cap: cfg.queue_cap,
-            max_attempts: cfg.max_attempts,
-            ..SupervisorConfig::default()
         }),
         cache: Arc::new(if cfg.cache_budget_bytes > 0 {
             ResultCache::with_budget_bytes(cfg.cache_budget_bytes)

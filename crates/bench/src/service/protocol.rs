@@ -51,7 +51,7 @@ pub enum ErrorCode {
     ShuttingDown,
     /// The job was cancelled (deadline, `cancel` verb, or daemon drain).
     Cancelled,
-    /// The job panicked or failed on every attempt; detail has the cause.
+    /// The job panicked or failed; detail has the cause.
     JobFailed,
 }
 
@@ -98,7 +98,7 @@ pub enum Request {
     Submit {
         /// The validated experiment spec.
         spec: JobSpec,
-        /// Optional per-attempt deadline, seconds.
+        /// Optional per-job deadline, seconds.
         timeout_s: Option<f64>,
         /// Optional opaque client tag, echoed on `accepted` and `result`.
         tag: Option<String>,

@@ -10,11 +10,9 @@
 //! * **a per-job deadline** — `timeout_s` arms a [`Deadline`] inside the
 //!   [`Interrupt`] handed to the job, which the fabrics poll at cycle
 //!   granularity;
-//! * **retry with capped exponential backoff** — a job that fails with
-//!   [`WorkError::Transient`] is retried up to `max_attempts` times; the
-//!   backoff doubles from `backoff_base_ms` up to `backoff_cap_ms`, plus a
-//!   *deterministic* jitter derived from `(seed, job id, attempt)` so
-//!   reports are reproducible while herds still decorrelate;
+//! * **one attempt** — a job body runs once. The simulators are
+//!   deterministic (fault draws included), so running a failed body again
+//!   would replay the same failure;
 //! * **backpressure** — submitting to a full queue fails fast with
 //!   [`JobError::QueueFull`] carrying a suggested retry delay, instead of
 //!   blocking the producer;
@@ -35,9 +33,11 @@ use std::time::Duration;
 
 use sim_core::cancel::{CancelToken, CancelWatch, Deadline, Interrupt};
 
-use crate::cache::fnv1a64;
+/// Producer-side delay [`JobError::QueueFull`] suggests before a resubmit,
+/// milliseconds.
+const QUEUE_FULL_RETRY_MS: u64 = 10;
 
-/// Pool sizing and retry policy.
+/// Pool sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorConfig {
     /// Worker threads (≥ 1).
@@ -45,48 +45,6 @@ pub struct SupervisorConfig {
     /// Bounded queue capacity; a submit beyond this fails with
     /// [`JobError::QueueFull`].
     pub queue_cap: usize,
-    /// Attempts per job (1 = no retries).
-    pub max_attempts: u32,
-    /// First retry backoff, milliseconds.
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling, milliseconds.
-    pub backoff_cap_ms: u64,
-    /// Seed for the deterministic backoff jitter.
-    pub seed: u64,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            workers: 1,
-            queue_cap: 64,
-            max_attempts: 3,
-            backoff_base_ms: 10,
-            backoff_cap_ms: 1000,
-            seed: 0,
-        }
-    }
-}
-
-impl SupervisorConfig {
-    /// Backoff before retry `attempt` (2-based: the sleep after attempt
-    /// `attempt - 1` failed), for `job_id`: capped exponential plus a
-    /// deterministic jitter in `[0, backoff_base_ms)` hashed from
-    /// `(seed, job_id, attempt)`.
-    pub fn backoff_ms(&self, job_id: u64, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(2).min(32);
-        let base = (self.backoff_base_ms << shift).min(self.backoff_cap_ms);
-        let jitter = if self.backoff_base_ms == 0 {
-            0
-        } else {
-            let mut bytes = Vec::with_capacity(20);
-            bytes.extend_from_slice(&self.seed.to_le_bytes());
-            bytes.extend_from_slice(&job_id.to_le_bytes());
-            bytes.extend_from_slice(&attempt.to_le_bytes());
-            fnv1a64(&bytes) % self.backoff_base_ms
-        };
-        base + jitter
-    }
 }
 
 /// What a job body returns on success.
@@ -100,22 +58,16 @@ pub struct JobSuccess {
     pub fingerprint: u64,
 }
 
-/// How a job body failed. The supervisor decides retry vs. give-up from
-/// the variant, so the body must classify its own errors.
+/// How a job body failed; the supervisor reports each variant as its
+/// matching [`JobError`].
 #[derive(Debug, Clone)]
 pub enum WorkError {
-    /// The job's interrupt fired (deadline, cancel-all token, …). Never
-    /// retried — the cause won't go away.
+    /// The job's interrupt fired (deadline, cancel-all token, …).
     Cancelled {
         /// The fabric's structured cancellation message.
         detail: String,
     },
-    /// A failure worth retrying (e.g. a transient resource error).
-    Transient {
-        /// What went wrong.
-        detail: String,
-    },
-    /// A failure retrying cannot fix (bad configuration, simulation bug).
+    /// Any other failure (bad configuration, fabric error, simulation bug).
     Fatal {
         /// What went wrong.
         detail: String,
@@ -126,7 +78,6 @@ impl std::fmt::Display for WorkError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WorkError::Cancelled { detail } => write!(f, "Cancelled: {detail}"),
-            WorkError::Transient { detail } => write!(f, "transient: {detail}"),
             WorkError::Fatal { detail } => write!(f, "{detail}"),
         }
     }
@@ -147,12 +98,10 @@ pub enum JobError {
         /// The structured cancellation message.
         detail: String,
     },
-    /// The job failed on every attempt.
+    /// The job body returned a [`WorkError::Fatal`].
     Failed {
-        /// The final attempt's error.
+        /// What went wrong.
         detail: String,
-        /// Attempts made.
-        attempts: u32,
     },
     /// The submit was rejected: the bounded queue is full. Carries a
     /// suggested producer-side delay before resubmitting.
@@ -167,9 +116,7 @@ impl std::fmt::Display for JobError {
         match self {
             JobError::Panicked { payload } => write!(f, "panicked: {payload}"),
             JobError::Cancelled { detail } => write!(f, "Cancelled: {detail}"),
-            JobError::Failed { detail, attempts } => {
-                write!(f, "failed after {attempts} attempts: {detail}")
-            }
+            JobError::Failed { detail } => write!(f, "failed: {detail}"),
             JobError::QueueFull { retry_after_ms } => {
                 write!(f, "queue full; retry after {retry_after_ms} ms")
             }
@@ -186,17 +133,15 @@ pub struct JobReport {
     pub id: u64,
     /// The job's name.
     pub name: String,
-    /// Attempts actually made (0 when cancelled before the first).
+    /// Attempts made: 1, or 0 when cancelled before the job started.
     pub attempts: u32,
-    /// Total backoff slept between attempts, milliseconds (deterministic).
-    pub backoff_ms_total: u64,
     /// The outcome.
     pub result: Result<JobSuccess, JobError>,
 }
 
-/// A job body: takes the interrupt the supervisor armed for this attempt
-/// (deadline + batch cancel token; `None` when neither is configured) and
-/// returns the result bytes. Must be re-runnable — retries call it again.
+/// A job body: takes the interrupt the supervisor armed for it (deadline +
+/// batch cancel token; `None` when neither is configured) and returns the
+/// result bytes.
 pub type Work = dyn Fn(Option<Interrupt>) -> Result<JobSuccess, WorkError> + Send + Sync;
 
 struct Job {
@@ -258,13 +203,11 @@ impl Supervisor {
     /// Spawn the pool.
     ///
     /// # Panics
-    /// On `workers == 0`, `queue_cap == 0`, or `max_attempts == 0` (a
-    /// misconfigured harness, not a runtime condition), or if the OS
-    /// refuses to spawn a thread.
+    /// On `workers == 0` or `queue_cap == 0` (a misconfigured harness, not
+    /// a runtime condition), or if the OS refuses to spawn a thread.
     pub fn new(cfg: SupervisorConfig) -> Self {
         assert!(cfg.workers >= 1, "supervisor needs at least one worker");
         assert!(cfg.queue_cap >= 1, "queue capacity must be positive");
-        assert!(cfg.max_attempts >= 1, "jobs need at least one attempt");
         let (tx, rx) = mpsc::channel();
         let cancel = CancelToken::new();
         let shared = Arc::new(Shared {
@@ -306,7 +249,7 @@ impl Supervisor {
         assert!(!q.closed, "submit after shutdown");
         if q.jobs.len() >= self.shared.cfg.queue_cap {
             return Err(JobError::QueueFull {
-                retry_after_ms: self.shared.cfg.backoff_base_ms.max(1),
+                retry_after_ms: QUEUE_FULL_RETRY_MS,
             });
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -438,55 +381,37 @@ fn worker_loop(shared: Arc<Shared>, idx: usize, generation: u64) {
     shared.workers_changed.notify_all();
 }
 
-/// Run one job to a terminal report: deadline + cancel checks, panic
-/// isolation, transient-retry loop.
+/// Run one job to a terminal report: cancel check, deadline, panic
+/// isolation.
 fn run_job(shared: &Shared, job: &Job) -> JobReport {
-    let cfg = &shared.cfg;
-    let mut attempts = 0u32;
-    let mut backoff_ms_total = 0u64;
-    let result = loop {
-        // Batch-wide cancellation wins before (re)starting work.
-        if shared.watch.is_cancelled() {
-            break Err(JobError::Cancelled {
-                detail: "batch cancelled before the attempt started".to_string(),
-            });
-        }
-        attempts += 1;
-        // Arm a fresh deadline per attempt (a retry gets the full budget)
-        // plus the batch cancel token.
-        let mut intr = Interrupt::new().with_watch(shared.watch.clone());
-        if let Some(s) = job.timeout_s {
-            intr = intr.with_deadline(Deadline::after_secs_f64(s));
-        }
-        let work = Arc::clone(&job.work);
-        match catch_unwind(AssertUnwindSafe(move || (work)(Some(intr)))) {
-            Err(payload) => {
-                break Err(JobError::Panicked {
-                    payload: panic_payload_string(payload.as_ref()),
-                })
-            }
-            Ok(Ok(success)) => break Ok(success),
-            Ok(Err(WorkError::Cancelled { detail })) => break Err(JobError::Cancelled { detail }),
-            Ok(Err(WorkError::Fatal { detail })) => {
-                break Err(JobError::Failed { detail, attempts })
-            }
-            Ok(Err(WorkError::Transient { detail })) => {
-                if attempts >= cfg.max_attempts {
-                    break Err(JobError::Failed { detail, attempts });
-                }
-                let ms = cfg.backoff_ms(job.id, attempts + 1);
-                backoff_ms_total += ms;
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-        }
-    };
-    JobReport {
+    let report = |attempts, result| JobReport {
         id: job.id,
         name: job.name.clone(),
         attempts,
-        backoff_ms_total,
         result,
+    };
+    // Batch-wide cancellation wins before starting work.
+    if shared.watch.is_cancelled() {
+        return report(
+            0,
+            Err(JobError::Cancelled {
+                detail: "batch cancelled before the attempt started".to_string(),
+            }),
+        );
     }
+    let mut intr = Interrupt::new().with_watch(shared.watch.clone());
+    if let Some(s) = job.timeout_s {
+        intr = intr.with_deadline(Deadline::after_secs_f64(s));
+    }
+    let result = match catch_unwind(AssertUnwindSafe(|| (job.work)(Some(intr)))) {
+        Err(payload) => Err(JobError::Panicked {
+            payload: panic_payload_string(payload.as_ref()),
+        }),
+        Ok(Ok(success)) => Ok(success),
+        Ok(Err(WorkError::Cancelled { detail })) => Err(JobError::Cancelled { detail }),
+        Ok(Err(WorkError::Fatal { detail })) => Err(JobError::Failed { detail }),
+    };
+    report(1, result)
 }
 
 /// Stringify a `catch_unwind` payload: `&str` and `String` payloads (the
@@ -504,16 +429,13 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::fnv1a64;
     use std::sync::atomic::AtomicU32;
 
     fn quiet_cfg() -> SupervisorConfig {
         SupervisorConfig {
             workers: 2,
             queue_cap: 8,
-            max_attempts: 3,
-            backoff_base_ms: 1,
-            backoff_cap_ms: 4,
-            seed: 7,
         }
     }
 
@@ -581,61 +503,28 @@ mod tests {
     }
 
     #[test]
-    fn transient_failures_retry_with_deterministic_backoff() {
-        let cfg = quiet_cfg();
-        let sup = Supervisor::new(cfg);
+    fn fatal_failure_runs_once_and_is_failed() {
+        let sup = Supervisor::new(quiet_cfg());
         let calls = Arc::new(AtomicU32::new(0));
         let c = Arc::clone(&calls);
         sup.submit(
-            "flaky",
-            None,
-            Arc::new(move |_| {
-                if c.fetch_add(1, Ordering::SeqCst) < 2 {
-                    Err(WorkError::Transient {
-                        detail: "not yet".to_string(),
-                    })
-                } else {
-                    Ok(JobSuccess {
-                        json: "{}".to_string(),
-                        cached: false,
-                        fingerprint: fnv1a64(b"{}"),
-                    })
-                }
-            }),
-        )
-        .unwrap();
-        let reports = sup.shutdown();
-        assert_eq!(reports.len(), 1);
-        let r = &reports[0];
-        assert!(r.result.is_ok());
-        assert_eq!(r.attempts, 3);
-        assert_eq!(calls.load(Ordering::SeqCst), 3);
-        // Backoff total is the deterministic function of (seed, id=0,
-        // attempts 2 and 3).
-        assert_eq!(
-            r.backoff_ms_total,
-            cfg.backoff_ms(0, 2) + cfg.backoff_ms(0, 3)
-        );
-    }
-
-    #[test]
-    fn transient_exhaustion_is_failed_with_attempt_count() {
-        let sup = Supervisor::new(quiet_cfg());
-        sup.submit(
             "hopeless",
             None,
-            Arc::new(|_| {
-                Err(WorkError::Transient {
+            Arc::new(move |_| {
+                c.fetch_add(1, Ordering::SeqCst);
+                Err(WorkError::Fatal {
                     detail: "always down".to_string(),
                 })
             }),
         )
         .unwrap();
         let reports = sup.shutdown();
+        assert_eq!(reports[0].attempts, 1);
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "the body runs once");
         match &reports[0].result {
-            Err(JobError::Failed { detail, attempts }) => {
+            Err(err @ JobError::Failed { detail }) => {
                 assert_eq!(detail, "always down");
-                assert_eq!(*attempts, 3);
+                assert_eq!(err.to_string(), "failed: always down");
             }
             other => panic!("expected Failed, got {other:?}"),
         }
@@ -667,7 +556,7 @@ mod tests {
             }
             other => panic!("expected Cancelled, got {other:?}"),
         }
-        assert_eq!(reports[0].attempts, 1, "cancellation is not retried");
+        assert_eq!(reports[0].attempts, 1);
     }
 
     #[test]
@@ -675,7 +564,6 @@ mod tests {
         let sup = Supervisor::new(SupervisorConfig {
             workers: 1,
             queue_cap: 1,
-            ..quiet_cfg()
         });
         // Park the single worker so the queue cannot drain.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
@@ -703,7 +591,9 @@ mod tests {
         sup.submit("queued", None, ok_work("q")).unwrap();
         let err = sup.submit("overflow", None, ok_work("o")).unwrap_err();
         match err {
-            JobError::QueueFull { retry_after_ms } => assert!(retry_after_ms >= 1),
+            JobError::QueueFull { retry_after_ms } => {
+                assert_eq!(retry_after_ms, QUEUE_FULL_RETRY_MS)
+            }
             other => panic!("expected QueueFull, got {other:?}"),
         }
         let (lock, cv) = &*gate;
@@ -777,28 +667,5 @@ mod tests {
                 r.result
             );
         }
-    }
-
-    #[test]
-    fn backoff_is_capped_exponential_with_stable_jitter() {
-        let cfg = SupervisorConfig {
-            backoff_base_ms: 8,
-            backoff_cap_ms: 32,
-            seed: 3,
-            ..SupervisorConfig::default()
-        };
-        // Deterministic: same inputs, same value.
-        assert_eq!(cfg.backoff_ms(5, 2), cfg.backoff_ms(5, 2));
-        // Base doubles then caps; jitter stays under base.
-        for (attempt, base) in [(2u32, 8u64), (3, 16), (4, 32), (5, 32), (9, 32)] {
-            let ms = cfg.backoff_ms(1, attempt);
-            assert!(
-                (base..base + 8).contains(&ms),
-                "attempt {attempt}: {ms} not in [{base}, {})",
-                base + 8
-            );
-        }
-        // Different jobs decorrelate.
-        assert_ne!(cfg.backoff_ms(1, 2), cfg.backoff_ms(2, 2));
     }
 }

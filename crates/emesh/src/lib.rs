@@ -35,7 +35,6 @@
 #![forbid(unsafe_code)]
 
 pub mod collectives;
-pub mod ebus;
 pub mod energy;
 pub mod faults;
 pub mod flit;
@@ -46,7 +45,6 @@ pub mod topology;
 pub mod workloads;
 
 pub use collectives::{run_mesh_collective, MeshCollectiveResult, MeshPhase};
-pub use ebus::EbusParams;
 pub use energy::{EnergyCounters, OrionParams};
 pub use faults::{MeshDiagnostic, MeshFaultConfig, MeshFaultStats, RouterKill};
 pub use flit::{Flit, FlitKind, Packet};

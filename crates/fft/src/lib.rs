@@ -37,7 +37,6 @@ pub mod dft;
 pub mod fft2d;
 pub mod ops;
 pub mod radix2;
-pub mod real;
 pub mod six_step;
 
 pub use blocked::BlockedFft;
@@ -46,5 +45,4 @@ pub use dft::dft_reference;
 pub use fft2d::Fft2d;
 pub use ops::{butterflies, multiplies, OpCounts};
 pub use radix2::{bit_reverse_permute, fft_in_place, ifft_in_place, Radix2Plan};
-pub use real::rfft;
 pub use six_step::SixStepPlan;

@@ -39,7 +39,6 @@
 pub mod chain;
 pub mod codegen;
 pub mod collectives;
-pub mod fft1d_app;
 pub mod fft_app;
 pub mod head;
 pub mod isa;
@@ -49,7 +48,6 @@ pub mod node;
 pub mod sample;
 
 pub use collectives::{run_sca_collective, ScaCollectiveResult};
-pub use fft1d_app::{run_fft1d, Fft1dRun};
 pub use fft_app::{run_fft2d, Fft2dRun};
 pub use machine::{Machine, MachineConfig, MachineError, PhaseTiming};
 pub use model2::{run_model2_rows, Model2Run};

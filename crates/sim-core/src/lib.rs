@@ -8,8 +8,6 @@
 //! * [`time`] — a picosecond-resolution simulated-time type ([`time::Time`])
 //!   with exact integer arithmetic, so photonic flight times (fractions of a
 //!   nanosecond) and electronic cycle times compose without rounding drift.
-//! * [`engine`] — a cycle-driven engine ([`engine::CycleEngine`]) for
-//!   synchronous models such as the wormhole mesh.
 //! * [`stats`] — counters, histograms and time-weighted averages used to
 //!   report utilization, latency and energy.
 //! * [`rng`] — seeded, reproducible random-number helpers.
@@ -39,7 +37,6 @@
 
 pub mod cancel;
 pub mod collective;
-pub mod engine;
 pub mod faults;
 pub mod invariants;
 pub mod rng;
@@ -50,7 +47,6 @@ pub mod vcd;
 
 pub use cancel::{CancelCause, CancelToken, CancelWatch, Deadline, Interrupt};
 pub use collective::Collective;
-pub use engine::CycleEngine;
 pub use faults::{FaultEvent, FaultKind, FaultSchedule, FaultSite, FaultStats};
 pub use stats::{Counter, Histogram, TimeWeighted};
 pub use telemetry::{Registry, SeriesHistogram, TraceEvent};
@@ -61,7 +57,6 @@ pub use vcd::VcdWriter;
 /// `use sim_core::prelude::*;`.
 pub mod prelude {
     pub use crate::cancel::{CancelCause, CancelToken, CancelWatch, Deadline, Interrupt};
-    pub use crate::engine::CycleEngine;
     pub use crate::faults::{FaultEvent, FaultKind, FaultSchedule, FaultSite, FaultStats};
     pub use crate::stats::{Counter, Histogram, TimeWeighted};
     pub use crate::telemetry::{Registry, SeriesHistogram, TraceEvent};
