@@ -1777,20 +1777,129 @@ mod tests {
         assert!(err.to_string().contains("Cancelled"));
     }
 
+    /// The canonical wire bytes of every preset (6 families x quick/paper).
+    const PRESET_JSON: [(&str, bool, &str); 12] = [
+        (
+            "table3",
+            true,
+            r#"{"schema":3,"family":"table3","spec":{"procs":256,"row_len":256,"threads":1}}"#,
+        ),
+        (
+            "table3",
+            false,
+            r#"{"schema":3,"family":"table3","spec":{"procs":1024,"row_len":1024,"threads":1}}"#,
+        ),
+        (
+            "perf_mesh",
+            true,
+            r#"{"schema":3,"family":"perf_mesh","spec":{"procs":256,"row_len":256,"policy":"MinimalAdaptive","t_p":1,"threads":1}}"#,
+        ),
+        (
+            "perf_mesh",
+            false,
+            r#"{"schema":3,"family":"perf_mesh","spec":{"procs":1024,"row_len":1024,"policy":"MinimalAdaptive","t_p":1,"threads":1}}"#,
+        ),
+        (
+            "ablate_faults",
+            true,
+            r#"{"schema":3,"family":"ablate_faults","spec":{"rates":[0.0,0.001,0.002,0.005,0.01,0.02,0.05],"procs":16,"row_len":16,"gathers":4,"threads":1}}"#,
+        ),
+        (
+            "ablate_faults",
+            false,
+            r#"{"schema":3,"family":"ablate_faults","spec":{"rates":[0.0,0.001,0.002,0.005,0.01,0.02,0.05],"procs":64,"row_len":64,"gathers":16,"threads":1}}"#,
+        ),
+        (
+            "crosscheck_models",
+            true,
+            r#"{"schema":3,"family":"crosscheck_models","spec":{"procs":8,"n":64,"ks":[1,4,8]}}"#,
+        ),
+        (
+            "crosscheck_models",
+            false,
+            r#"{"schema":3,"family":"crosscheck_models","spec":{"procs":16,"n":1024,"ks":[1,8,64]}}"#,
+        ),
+        (
+            "full_matrix",
+            true,
+            r#"{"schema":3,"family":"full_matrix","spec":{"scale":"quick","fidelity":"auto","reference":true}}"#,
+        ),
+        (
+            "full_matrix",
+            false,
+            r#"{"schema":3,"family":"full_matrix","spec":{"scale":"paper","fidelity":"auto","reference":false}}"#,
+        ),
+        (
+            "collectives",
+            true,
+            r#"{"schema":3,"family":"collectives","spec":{"width":4,"height":4,"torus":false,"words":4,"threads":1}}"#,
+        ),
+        (
+            "collectives",
+            false,
+            r#"{"schema":3,"family":"collectives","spec":{"width":16,"height":16,"torus":false,"words":64,"threads":1}}"#,
+        ),
+    ];
+
     #[test]
     fn canonical_json_is_stable() {
-        assert_eq!(
-            Table3Spec::quick().canonical_json(),
-            r#"{"procs":256,"row_len":256,"threads":1}"#
-        );
-        assert_eq!(
-            JobSpec::Table3(Table3Spec::quick()).canonical_json(),
-            r#"{"schema":3,"family":"table3","spec":{"procs":256,"row_len":256,"threads":1}}"#
-        );
-        assert_eq!(
-            JobSpec::Collectives(CollectivesSpec::quick()).canonical_json(),
-            r#"{"schema":3,"family":"collectives","spec":{"width":4,"height":4,"torus":false,"words":4,"threads":1}}"#
-        );
+        for (family, quick, json) in PRESET_JSON {
+            let spec = JobSpec::preset(family, quick).expect("preset exists");
+            assert_eq!(spec.canonical_json(), json, "{family} quick={quick}");
+        }
+    }
+
+    #[test]
+    fn canonical_spec_fields_round_trip_through_from_value() {
+        for (family, quick, json) in PRESET_JSON {
+            let envelope: Value = serde_json::from_str(json).unwrap();
+            let Some(Value::Object(fields)) = envelope.get("spec").cloned() else {
+                panic!("{json}: spec is not an object");
+            };
+            let mut body = vec![("family".to_string(), Value::Str(family.to_string()))];
+            body.extend(fields);
+            assert_eq!(
+                JobSpec::from_value(&Value::Object(body)),
+                Ok(JobSpec::preset(family, quick).unwrap()),
+                "{family} quick={quick}"
+            );
+        }
+    }
+
+    /// FNV-1a of `run(false, None)`'s result JSON for one small spec per
+    /// family (the specs perfbench's `service` workload submits), so a
+    /// family's result bytes cannot drift unnoticed.
+    #[test]
+    fn small_spec_results_are_pinned() {
+        for (body, fnv) in [
+            (
+                r#"{"family":"table3","procs":16,"row_len":8}"#,
+                0xd5ad_0164_6db0_5fb2_u64,
+            ),
+            (
+                r#"{"family":"perf_mesh","procs":16,"row_len":16}"#,
+                0x0fe1_ee3b_143b_2e6f,
+            ),
+            (
+                r#"{"family":"ablate_faults","procs":16,"row_len":16,"gathers":4,"rates":[0.0,0.01]}"#,
+                0x39e7_a54b_8dcd_aff4,
+            ),
+            (
+                r#"{"family":"crosscheck_models","procs":8,"n":64,"ks":[1,8]}"#,
+                0x1a20_205e_c868_a59f,
+            ),
+            (
+                r#"{"family":"full_matrix","fidelity":"analytic","reference":false}"#,
+                0x84b9_1e0d_c422_bcf9,
+            ),
+            (
+                r#"{"family":"collectives","width":4,"height":4,"words":4}"#,
+                0x9f57_e79e_4a2f_cfab,
+            ),
+        ] {
+            let (json, _) = parse(body).unwrap().run(false, None).unwrap();
+            assert_eq!(fnv1a64(json.as_bytes()), fnv, "{body}");
+        }
     }
 
     #[test]
