@@ -5,12 +5,12 @@
 //! what k can be sustained and what efficiency follows? And where is the
 //! balance point `P·t_dk = t_ck` (Eq. 19) for a concrete machine?
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::model::FftParams;
 
 /// A feasible operating point under a bandwidth budget.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct OperatingPoint {
     /// Blocks per row.
     pub k: u64,

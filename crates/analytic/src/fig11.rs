@@ -8,12 +8,12 @@
 //! The P-sync curve is the zero-latency Table I efficiency degraded only by
 //! the (tiny, sub-slot) optical flight latency; the mesh curve is Table II.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::model::FftParams;
 
 /// One point of the Fig. 11 curves.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Fig11Point {
     /// Blocks per row.
     pub k: u64,

@@ -12,10 +12,10 @@
 //! Case 1 (`P·t_dk ≤ t_ck`) is compute-bound; Case 2 is communication-bound;
 //! efficiency peaks at the balance point `P·t_dk = t_ck` (Eq. 19).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of the Table I / Table II FFT analysis.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct FftParams {
     /// Row length in samples (N = 1024).
     pub n: u64,
@@ -96,7 +96,7 @@ impl FftParams {
 }
 
 /// The generalized Model II (Model I is the `k = 1` special case).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct ModelIi {
     /// Processor count.
     pub p: u64,

@@ -1,11 +1,11 @@
 //! Table I — "Compute efficiency for zero latency".
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::model::FftParams;
 
 /// One row of Table I.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Table1Row {
     /// Blocks per row, k.
     pub k: u64,

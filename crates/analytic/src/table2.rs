@@ -7,13 +7,13 @@
 //! *falls* afterwards — blocking finer buys compute overlap but drowns in
 //! per-packet routing overhead.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::model::FftParams;
 use crate::table1::TABLE1_K;
 
 /// One row of Table II.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Table2Row {
     /// Blocks per row, k.
     pub k: u64,

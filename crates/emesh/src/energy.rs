@@ -9,10 +9,10 @@
 //! proportional to the physical hop length — which shrinks as the node count
 //! grows on the fixed die, exactly the inverse relation the paper notes.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Raw event counts accumulated by the mesh simulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct EnergyCounters {
     /// Flits injected at source NIs.
     pub injections: u64,
@@ -36,7 +36,7 @@ impl EnergyCounters {
 }
 
 /// ORION-flavoured energy parameters (45 nm-era constants).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct OrionParams {
     /// Buffer write energy, pJ per bit.
     pub buf_write_pj_per_bit: f64,

@@ -31,7 +31,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use sim_core::faults::hash_bernoulli;
 
@@ -59,7 +59,7 @@ pub(crate) fn link_site(ri: usize, o: usize) -> u64 {
 pub const PROBE_INTERVAL: u64 = 8;
 
 /// A scheduled permanent router failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RouterKill {
     /// Router to kill.
     pub router: u32,
@@ -68,7 +68,7 @@ pub struct RouterKill {
 }
 
 /// Fault-injection knobs for one mesh instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MeshFaultConfig {
     /// Experiment seed; corruption and link-down streams derive from it.
     pub seed: u64,
@@ -109,7 +109,7 @@ impl Default for MeshFaultConfig {
 }
 
 /// Counters the fault layer accumulates over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct MeshFaultStats {
     /// Payload flits poisoned in flight.
     pub corrupted_flits: u64,
@@ -128,7 +128,7 @@ pub struct MeshFaultStats {
 
 /// Structured no-progress diagnostic, produced by the watchdog instead of a
 /// hang (see [`crate::mesh::MeshError::NoProgress`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MeshDiagnostic {
     /// Routers dead at the time of the dump.
     pub killed_routers: Vec<u32>,

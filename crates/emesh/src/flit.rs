@@ -5,10 +5,10 @@
 //! simulator flit carries some metadata a real flit would not (destination,
 //! readiness stamp) purely for bookkeeping; the *timed* width is 64 bits.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Position of a flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FlitKind {
     /// First flit: carries routing info, pays `t_r` at each router.
     Head,
@@ -33,7 +33,7 @@ impl FlitKind {
 }
 
 /// One 64-bit flit in flight.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Flit {
     /// Destination node index.
     pub dest: u32,
@@ -57,7 +57,7 @@ pub struct Flit {
 }
 
 /// A whole packet, pre-flitted.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Packet {
     /// Destination node index.
     pub dest: u32,

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use memory::{AccessKind, DramConfig, DramController, DramStats};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::invariant;
 use sim_core::telemetry::SeriesHistogram;
 
@@ -21,7 +21,7 @@ use crate::flit::Flit;
 const MAX_ROW_SPANS: usize = 4096;
 
 /// Memory-interface configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct MemifConfig {
     /// Reorder cycles per element (the paper's `t_p`).
     pub t_p: u64,
@@ -45,7 +45,7 @@ impl Default for MemifConfig {
 }
 
 /// Statistics from one memory interface.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct MemifStats {
     /// Flits ejected into this interface.
     pub flits_accepted: u64,

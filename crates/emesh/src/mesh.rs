@@ -47,7 +47,7 @@ mod soa;
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::cancel::{CancelCause, Interrupt};
 use sim_core::invariant;
 use sim_core::stats::Histogram;
@@ -61,7 +61,7 @@ use crate::router::{Port, NUM_PORTS};
 use crate::topology::{NodeCoord, Topology};
 
 /// Routing policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RoutingPolicy {
     /// Dimension-order: X first, then Y. Deadlock-free.
     Xy,
@@ -72,7 +72,7 @@ pub enum RoutingPolicy {
 }
 
 /// Mesh configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct MeshConfig {
     /// Topology and memory-interface placement.
     pub topology: Topology,
@@ -329,7 +329,7 @@ impl std::error::Error for MeshError {}
 /// A non-fatal condition the scheduler wants the caller to know about.
 /// Warnings are deterministic functions of the configuration (never of the
 /// host machine), so they are safe to include in golden fingerprints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RunWarning {
     /// More than one worker thread was requested; the executor is
     /// sequential, so the run used one.

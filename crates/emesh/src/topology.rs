@@ -7,10 +7,10 @@
 //! `width - 1` in [`Topology::memif_nodes`] was exactly the class of
 //! latent bug generalized geometries made live.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A node's (x, y) position in the mesh; node index = `y * width + x`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct NodeCoord {
     /// Column.
     pub x: u32,
@@ -19,7 +19,7 @@ pub struct NodeCoord {
 }
 
 /// Where memory interfaces attach.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MemifPlacement {
     /// A single interface at the (0, 0) corner — the Table III setup
     /// ("a single memory port").
@@ -34,7 +34,7 @@ pub enum MemifPlacement {
 }
 
 /// A rectangular mesh (or torus) topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Topology {
     /// Mesh width (columns). Must be ≥ 1.
     pub width: u32,

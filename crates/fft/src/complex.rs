@@ -4,14 +4,14 @@
 //! 64`). For numerics we compute in f64 pairs; the *wire* size used by the
 //! network models is a separate constant ([`SAMPLE_BITS`]).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
 /// Wire size of one FFT sample in bits (`S_s` in the paper).
 pub const SAMPLE_BITS: u64 = 64;
 
 /// A complex number with f64 parts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct Complex64 {
     /// Real part.
     pub re: f64,

@@ -6,7 +6,7 @@
 //! provide the standard total-flop count of 10 real ops per butterfly
 //! (4 multiplies + 6 additions), i.e. `5N·log₂N`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Real multiplies per butterfly (paper Table I assumption).
 pub const MULTS_PER_BUTTERFLY: u64 = 4;
@@ -48,7 +48,7 @@ pub fn multiplies_final(n: u64, k: u64) -> u64 {
 }
 
 /// An operation tally.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct OpCounts {
     /// Real multiplies.
     pub multiplies: u64,

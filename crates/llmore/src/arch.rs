@@ -7,10 +7,10 @@
 //! between the two 1-D FFT phases: the mesh performs a block-wise transpose
 //! through the memory ports; P-sync performs an SCA on the waveguide.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which architecture a simulation models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ArchKind {
     /// Wormhole-routed electronic mesh with 4 corner memory interfaces.
     ElectronicMesh,
@@ -21,7 +21,7 @@ pub enum ArchKind {
 }
 
 /// Shared system parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct SystemParams {
     /// Matrix edge (N × N samples; paper: 1024).
     pub n: u64,

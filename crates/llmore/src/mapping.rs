@@ -7,12 +7,12 @@
 //! blocks `k` Model II uses. This module enumerates those maps and selects
 //! the efficiency-optimal one per architecture.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::arch::{ArchKind, SystemParams};
 
 /// How matrix rows are assigned to processors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RowDistribution {
     /// Processor p owns rows `[p·N/P, (p+1)·N/P)`.
     Block,
@@ -51,7 +51,7 @@ impl RowDistribution {
 }
 
 /// A candidate map for the 2-D FFT.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FftMap {
     /// Row distribution.
     pub rows: RowDistribution,
@@ -60,7 +60,7 @@ pub struct FftMap {
 }
 
 /// Result of map optimization.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct OptimizedMap {
     /// The chosen map.
     pub map: FftMap,

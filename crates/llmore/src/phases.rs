@@ -18,12 +18,12 @@
 //!   overheads are the per-DRAM-row header (33/32) and a single optical
 //!   flight. Constant in P.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::arch::{ArchKind, SystemParams};
 
 /// Wall-clock seconds per phase.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct PhaseBreakdown {
     /// Initial Model-I delivery of the matrix to the cores.
     pub deliver: f64,
@@ -104,7 +104,7 @@ pub fn reorg_phase_secs(kind: ArchKind, params: &SystemParams, p: u64) -> f64 {
 
 /// Delivery model (§V-A): Model I serializes delivery before compute;
 /// Model II overlaps them with k-way blocking (Fig. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DeliveryModel {
     /// All data before compute (Fig. 8) — what the paper's §VI runs used.
     ModelI,

@@ -1,12 +1,12 @@
 //! The phase-level simulator.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::arch::{ArchKind, SystemParams};
 use crate::phases::{phase_breakdown, PhaseBreakdown};
 
 /// Performance data for one (architecture, core count) point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct PerfResult {
     /// Architecture simulated.
     pub arch: ArchKind,

@@ -1,13 +1,13 @@
 //! Core-count sweeps for Figs. 13 and 14.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::arch::{ArchKind, SystemParams};
 use crate::sim::simulate_fft2d;
 
 /// One x-position of the Fig. 13 / Fig. 14 plots.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct SweepPoint {
     /// Core count (x-axis; paper sweeps 4 → 4096).
     pub cores: u64,

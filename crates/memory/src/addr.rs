@@ -6,12 +6,12 @@
 //! stream (a naive mesh transpose hitting column order) thrashes rows within
 //! a bank — exactly the asymmetry the paper exploits.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::DramConfig;
 
 /// A decoded DRAM coordinate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Decoded {
     /// Bank index.
     pub bank: usize,
@@ -22,7 +22,7 @@ pub struct Decoded {
 }
 
 /// Address map for a given configuration and word size.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct AddrMap {
     cfg: DramConfig,
     /// Bits per addressed word (e.g. 64 for an FFT sample bus word).

@@ -1,11 +1,11 @@
 //! Per-bank open-row state machine.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::DramConfig;
 
 /// One DRAM bank with an open-page policy.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct Bank {
     /// Currently open row, if any.
     open_row: Option<u64>,
@@ -14,7 +14,7 @@ pub struct Bank {
 }
 
 /// Outcome classification of one access, for statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RowOutcome {
     /// Row already open: only CAS + burst.
     Hit,

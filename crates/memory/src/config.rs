@@ -1,13 +1,13 @@
 //! DRAM geometry and timing parameters.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of one DRAM device/channel.
 ///
 /// Defaults reproduce the paper's §V-C-1 assumptions: 2048-bit rows
 /// ("32 64-bit complex samples can be bursted at a time before a costly
 /// row-precharge must occur") behind a 64-bit bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DramConfig {
     /// Number of independent banks.
     pub banks: usize,

@@ -7,7 +7,7 @@
 //! nearly all row hits, a transposed stream without reordering is nearly all
 //! row conflicts.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::addr::AddrMap;
 use crate::bank::{Bank, RowOutcome};
@@ -43,7 +43,7 @@ impl std::error::Error for TraceCancelled {}
 
 /// Read or write. The timing model is symmetric; the distinction feeds
 /// statistics and (in `psync`) data movement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum AccessKind {
     /// Read a word.
     Read,
@@ -52,7 +52,7 @@ pub enum AccessKind {
 }
 
 /// Aggregate statistics over a controller's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DramStats {
     /// Total accesses.
     pub accesses: u64,

@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::telemetry::SeriesHistogram;
 
 use crate::addr::AddrMap;
@@ -20,7 +20,7 @@ use crate::config::DramConfig;
 use crate::controller::DramStats;
 
 /// FR-FCFS controller configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct FrFcfsConfig {
     /// DRAM timing/geometry.
     pub dram: DramConfig,

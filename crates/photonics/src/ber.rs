@@ -11,12 +11,12 @@
 //! This module derives the sensitivity so the link budget's −20 dBm default
 //! is a *consequence*, not an assumption.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::units::OpticalPower;
 
 /// Receiver front-end parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct ReceiverModel {
     /// Photodiode responsivity, amperes per watt (≈ 1.0 A/W at 1550 nm).
     pub responsivity_a_per_w: f64,

@@ -17,14 +17,14 @@
 //! Individual segments can be chained via repeaters to form larger networks;
 //! [`LinkBudget::segments_with_repeaters`] accounts for that.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::devices::{Modulator, Photodiode};
 use crate::units::{DbLoss, OpticalPower};
 use crate::waveguide::Waveguide;
 
 /// Per-segment loss `L_ws` of Eq. (2).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct SegmentLoss {
     /// Off-resonance ring loss `L_r-off`.
     pub ring_off: DbLoss,
@@ -48,7 +48,7 @@ impl SegmentLoss {
 }
 
 /// Full link budget for a PSCAN bus.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct LinkBudget {
     /// Incident power at the head of the waveguide, `P_i`.
     pub input_power: OpticalPower,

@@ -8,14 +8,14 @@
 //! with the clock wavefront, because clock and data co-propagate at the same
 //! speed. No PLL/DLL is used ("open-loop distribution").
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::time::{Duration, Time};
 
 use crate::waveguide::ChipLayout;
 
 /// The photonic clock generator at the head of a PSCAN bus and the resulting
 /// per-tap timing frame.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PhotonicClock {
     /// Clock (= bit slot) period.
     pub period: Duration,

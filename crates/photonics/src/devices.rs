@@ -6,12 +6,12 @@
 //! of the 2010–2013 silicon-photonics literature the paper builds on
 //! (PhoenixSim-era device models).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::units::{DbLoss, OpticalPower};
 
 /// A ring resonator used as a filter or as the tuned element of a modulator.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct RingResonator {
     /// Loss imposed on *passing* light when the ring is off-resonance
     /// (`L_r-off` of Eq. 2). Typical: 0.01 dB.
@@ -36,7 +36,7 @@ impl Default for RingResonator {
 }
 
 /// An electro-optic ring modulator.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Modulator {
     /// The ring element (contributes `L_r-off` when idle).
     pub ring: RingResonator,
@@ -75,7 +75,7 @@ impl Modulator {
 }
 
 /// A photodiode receiver (including its TIA front-end).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Photodiode {
     /// Minimum detectable power `P_min-pd` at the design bit rate.
     /// Typical: −20 dBm at 10 Gb/s.
@@ -107,7 +107,7 @@ impl Photodiode {
 }
 
 /// A continuous-wave laser source driving one wavelength.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Laser {
     /// Optical power coupled onto the waveguide, per wavelength.
     pub output: OpticalPower,

@@ -15,7 +15,7 @@
 //! This mirrors the PhoenixSim decomposition the paper used (§III-C), with
 //! constants from the same era of device literature.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::devices::{Laser, Modulator, Photodiode};
 use crate::units::OpticalPower;
@@ -23,7 +23,7 @@ use crate::waveguide::ChipLayout;
 use crate::wdm::WavelengthPlan;
 
 /// Per-component energy/power breakdown for a PSCAN configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct EnergyBreakdown {
     /// Laser electrical power amortized per bit, in picojoules.
     pub laser_pj_per_bit: f64,
@@ -49,7 +49,7 @@ impl EnergyBreakdown {
 }
 
 /// Energy model for a full PSCAN bus.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PhotonicEnergyModel {
     /// Device models.
     pub modulator: Modulator,

@@ -6,7 +6,7 @@
 //! [`crate::wdm::WavelengthPlan`] against it — the physical-design check
 //! behind the paper's "32 wavelengths each modulated at 10 Gb/s".
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::units::DbLoss;
 
@@ -14,7 +14,7 @@ use crate::units::DbLoss;
 pub const C_M_PER_S: f64 = 299_792_458.0;
 
 /// Spectral model of one add–drop ring resonator.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct RingSpectrum {
     /// Resonance (centre) wavelength in nm. The paper's band: 1550 nm.
     pub center_nm: f64,
@@ -76,7 +76,7 @@ impl RingSpectrum {
 }
 
 /// Result of validating a WDM plan against a ring design.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PlanCheck {
     /// Channel spacing in GHz.
     pub spacing_ghz: f64,

@@ -6,10 +6,10 @@
 //! taps × 33 rings the heater budget becomes a first-order term of the
 //! PSCAN's energy per bit. This module models that budget.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Thermal tuning model for one ring.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct ThermalModel {
     /// Resonance drift per kelvin, GHz/K (silicon: ≈ 10).
     pub drift_ghz_per_k: f64,

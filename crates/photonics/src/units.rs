@@ -5,17 +5,17 @@
 //! We keep power in dBm and loss in dB and convert to linear milliwatts only
 //! at the edges.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// Optical power referenced to 1 mW, in dBm.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize)]
 pub struct OpticalPower(pub f64);
 
 /// Attenuation in dB (non-negative).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize)]
 pub struct DbLoss(pub f64);
 
 impl OpticalPower {

@@ -8,7 +8,7 @@
 //! [`ChipLayout`] places `n` evenly pitched node taps along a serpentine bus
 //! on a fixed-size die, which is how the PSCAN reaches every processor.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::time::Duration;
 
 use crate::units::DbLoss;
@@ -20,7 +20,7 @@ use crate::units::DbLoss;
 pub const SPEED_MM_PER_NS: f64 = 70.0;
 
 /// A straight run of waveguide with a length and a per-length loss.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Waveguide {
     /// Physical length in millimetres.
     pub length_mm: f64,
@@ -84,7 +84,7 @@ pub fn flight_time_mm(mm: f64) -> Duration {
 /// by short turns; taps are evenly pitched along the unrolled length, which
 /// is the paper's "modulators are evenly spaced along the waveguide"
 /// assumption.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ChipLayout {
     /// Die edge in millimetres (paper fixes 2 cm × 2 cm for Fig. 5).
     pub die_mm: f64,

@@ -6,11 +6,11 @@
 //! wavelengths `λ_d` (paper §III, Fig. 4), and converts between bit slots,
 //! bus words and wall-clock time.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::time::Duration;
 
 /// Role a wavelength plays on the PSCAN bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum WavelengthRole {
     /// Carries the modulated global clock (`λ_c`).
     Clock,
@@ -19,7 +19,7 @@ pub enum WavelengthRole {
 }
 
 /// A WDM channel plan for one PSCAN bus.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct WavelengthPlan {
     /// Number of data wavelengths.
     pub data_lambdas: usize,

@@ -8,13 +8,13 @@
 //! point-to-point messages are packed into the remaining slots, respecting
 //! the waveguide's directionality (a message can only flow downstream).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::cp::{CommProgram, CpAction, CpEntry};
 use crate::NodeId;
 
 /// A point-to-point message request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Message {
     /// Sender (must be upstream of the receiver).
     pub src: NodeId,

@@ -8,14 +8,14 @@
 //! burst, which node must capture it. The compiler coalesces per-node slot
 //! runs into minimal CPs and proves the set collision-free by construction.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::cp::{CommProgram, CpAction, CpEntry};
 use crate::NodeId;
 
 /// A gather (SCA): `slot_source[k]` is the node whose data occupies global
 /// slot `k` of the coalesced burst arriving at the terminus.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct GatherSpec {
     /// Source node per slot, in burst order.
     pub slot_source: Vec<NodeId>,
@@ -23,7 +23,7 @@ pub struct GatherSpec {
 
 /// A scatter (SCA⁻¹): `slot_dest[k]` is the node that must detect global
 /// slot `k` of the head node's monolithic burst.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ScatterSpec {
     /// Destination node per slot, in burst order.
     pub slot_dest: Vec<NodeId>,

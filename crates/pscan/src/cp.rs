@@ -8,10 +8,10 @@
 //! mention is implicitly `Pass` — the node lets incident energy through
 //! unmodified, which is what makes the splice work.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What a node does with the wavefronts of a slot range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CpAction {
     /// Modulate local data onto the data wavelength (SCA contribution).
     Drive,
@@ -20,7 +20,7 @@ pub enum CpAction {
 }
 
 /// One contiguous run of slots with a single action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CpEntry {
     /// First global slot of the run.
     pub start: u64,
@@ -44,7 +44,7 @@ impl CpEntry {
 
 /// A node's complete communication program: an ordered, non-overlapping
 /// list of slot runs.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct CommProgram {
     entries: Vec<CpEntry>,
 }

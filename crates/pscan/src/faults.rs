@@ -18,14 +18,14 @@ use photonics::ber::ReceiverModel;
 use photonics::thermal::ThermalModel;
 use photonics::units::OpticalPower;
 use photonics::wdm::WavelengthPlan;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::faults::{FaultSite, FaultStats};
 
 /// Stream index of the terminus-receiver fault site under the config seed.
 const STREAM_TERMINUS: u64 = 0;
 
 /// Fault-injection knobs for one PSCAN instance.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct PscanFaultConfig {
     /// Experiment seed; all fault streams derive from it.
     pub seed: u64,

@@ -19,7 +19,7 @@ use photonics::waveguide::ChipLayout;
 use photonics::wdm::WavelengthPlan;
 use std::cell::Cell;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::cancel::Interrupt;
 use sim_core::invariant;
 use sim_core::telemetry::Registry;
@@ -31,7 +31,7 @@ use crate::crc::crc32_words_update;
 use crate::faults::{PscanError, PscanFaultConfig, PscanFaultState, ReliableGatherOutcome};
 
 /// Configuration of a PSCAN instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PscanConfig {
     /// Number of processor taps.
     pub nodes: usize,

@@ -9,7 +9,7 @@
 //! the gather spec (who drives which wavefront) plus per-node drain orders,
 //! ready to run on the bus — no hand-written CPs.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::compiler::GatherSpec;
 use crate::NodeId;
@@ -17,7 +17,7 @@ use crate::NodeId;
 /// A 1-D block-cyclic distribution of `n` elements over `procs` processors
 /// with blocks of `block` elements (block = ⌈n/procs⌉ gives pure block;
 /// block = 1 gives pure cyclic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Layout {
     /// Total elements.
     pub n: u64,
@@ -62,7 +62,7 @@ impl Layout {
 }
 
 /// The target ordering of the coalesced stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Perm {
     /// Stream elements in index order (a plain gather).
     Identity,

@@ -12,7 +12,7 @@
 
 use fft::fft2d::Matrix;
 use pscan::compiler::{GatherSpec, ScatterSpec};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::machine::{Machine, MachineConfig, PhaseTiming};
 use crate::sample::{decode_all, encode_sample};
@@ -49,7 +49,7 @@ pub mod phase_names {
 }
 
 /// Serializable phase summary (for the bench harness).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RunSummary {
     /// Processors.
     pub procs: usize,

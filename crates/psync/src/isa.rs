@@ -13,10 +13,10 @@
 //! operations" (§IV) — here it is, explicitly.
 
 use fft::Complex64;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One computation instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum Instr {
     /// Radix-2 DIT butterfly on data memory cells `a` and `b` with twiddle
     /// ROM entry `w`: `(x_a, x_b) ← (x_a + w·x_b, x_a − w·x_b)`.
@@ -50,7 +50,7 @@ pub enum Instr {
 }
 
 /// A compiled computation program: instructions + twiddle ROM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CompProgram {
     /// Instruction memory.
     pub instrs: Vec<Instr>,
@@ -59,7 +59,7 @@ pub struct CompProgram {
 }
 
 /// Execution statistics from one program run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ExecStats {
     /// Instructions retired (including Halt).
     pub instructions: u64,

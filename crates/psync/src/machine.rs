@@ -17,7 +17,7 @@ use photonics::wdm::WavelengthPlan;
 use pscan::compiler::{GatherSpec, ScatterSpec};
 use pscan::faults::{PscanError, PscanFaultConfig};
 use pscan::network::{Pscan, PscanConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::telemetry::Registry;
 
 use crate::head::HeadNode;
@@ -171,7 +171,7 @@ impl MachineConfig {
 }
 
 /// Timing record of one executed phase.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PhaseTiming {
     /// Phase label.
     pub name: String,

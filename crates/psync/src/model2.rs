@@ -13,7 +13,7 @@
 
 use fft::{BlockedFft, Complex64};
 use pscan::compiler::ScatterSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::machine::{Machine, MachineConfig};
 use crate::sample::{decode_all, encode_sample};
@@ -34,7 +34,7 @@ pub struct Model2Run {
 }
 
 /// Serializable summary for the ablation harness.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Model2Summary {
     /// Blocks per row.
     pub k: usize,

@@ -12,10 +12,10 @@
 
 use fft::{Complex64, Radix2Plan};
 use pscan::cp::CommProgram;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Execution-unit timing parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct ExecParams {
     /// Nanoseconds per floating-point multiply (paper: 2 ns).
     pub mult_ns: f64,

@@ -6,10 +6,10 @@
 //! wire labels, and their phase names, so harnesses and the service layer
 //! can parse and compare results across fabrics without string drift.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A collective operation over the fabric's processing nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Collective {
     /// Personalized exchange: every node sends a distinct block to every
     /// other node (the 2D-FFT corner turn is the P-block special case).

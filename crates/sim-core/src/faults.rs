@@ -19,12 +19,12 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::rng::{child_seed, seeded};
 
 /// What goes wrong when a fault fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FaultKind {
     /// Flip one bit of a data word in flight.
     BitFlip {
@@ -41,7 +41,7 @@ pub enum FaultKind {
 }
 
 /// One scheduled fault: at tick `at`, site `site` suffers `kind`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FaultEvent {
     /// Simulation tick (cycle or bus slot) the fault fires at.
     pub at: u64,
@@ -227,7 +227,7 @@ impl FaultSite {
 }
 
 /// Counters every fault-aware component reports.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FaultStats {
     /// Faults injected into the component.
     pub injected: u64,

@@ -4,12 +4,12 @@
 //! energy through these types so that the bench harness can print table rows
 //! uniformly.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::time::{Duration, Time};
 
 /// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct Counter(pub u64);
 
 impl Counter {
@@ -33,7 +33,7 @@ impl Counter {
 ///
 /// Buckets are linear with a configurable width; samples beyond the last
 /// bucket are clamped into an overflow bucket so nothing is lost silently.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Histogram {
     bucket_width: u64,
     buckets: Vec<u64>,
@@ -120,7 +120,7 @@ impl Histogram {
 
 /// Time-weighted running average of a piecewise-constant quantity, such as
 /// queue occupancy or link utilization.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct TimeWeighted {
     last_change: Time,
     current: f64,
@@ -159,7 +159,7 @@ impl TimeWeighted {
 }
 
 /// Utilization accumulator: fraction of elapsed time a resource was busy.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct BusyTime {
     busy: Duration,
 }
