@@ -12,22 +12,19 @@
 //! cargo run --release -p bench --bin ablate_faults [--quick]
 //! ```
 
-use bench::jobs::{run_ablate_faults, AblateFaultsSpec, FaultPoint};
+use bench::jobs::{AblateFaultsSpec, Family};
 use bench::{f, BenchError, Experiment};
 
 fn main() -> Result<(), BenchError> {
     let ex = Experiment::new("ablate_faults");
     let quick = ex.quick();
-    let spec = if quick {
-        AblateFaultsSpec::quick()
-    } else {
-        AblateFaultsSpec::paper()
-    };
+    let spec = AblateFaultsSpec::preset(quick);
     let (procs, gathers) = (spec.procs, spec.gathers);
     let interrupt = ex.interrupt();
     // The sweep itself lives in [`bench::jobs`] so the supervised paths
     // (`run_batch`, `psyncd`) produce byte-identical rows.
-    let points: Vec<FaultPoint> = run_ablate_faults(&spec, interrupt.as_ref())
+    let (points, _) = spec
+        .run(false, interrupt.as_ref())
         .map_err(|e| BenchError::run("ablate_faults", e))?;
 
     let cells: Vec<Vec<String>> = points

@@ -31,43 +31,23 @@ use std::time::Instant;
 use analytic::model::{FftParams, ModelIi};
 use analytic::table3::Table3Params;
 use bench::crosscheck::{
-    check, check_exact_u64, failures, predict_model2, witness, CheckRow, TOL_ALGEBRAIC,
-    TOL_CLOSED_FORM, TOL_EQ21_MESH, TOL_LINE_RATE,
+    check, check_exact_u64, eq21_scatter_cycles, failures, predict_model2, sca_writeback, witness,
+    CheckRow, TOL_ALGEBRAIC, TOL_CLOSED_FORM, TOL_EQ21_MESH, TOL_LINE_RATE,
 };
+use bench::jobs::{crosscheck_signal_rows, CrosscheckSpec, Family};
 use bench::{f, BenchError, Experiment};
-use emesh::mesh::{MeshConfig, RoutingPolicy};
-use emesh::topology::{MemifPlacement, Topology};
-use emesh::workloads::{eq21_delivery_cycles, load_scatter};
-use fft::Complex64;
+use emesh::mesh::RoutingPolicy;
+use emesh::workloads::eq21_delivery_cycles;
 use pscan::compiler::GatherSpec;
 use pscan::faults::PscanFaultConfig;
 use pscan::network::{Pscan, PscanConfig};
 
-/// Deterministic test signal: one `n`-sample row per processor.
-fn signal_rows(procs: usize, n: usize) -> Vec<Vec<Complex64>> {
-    (0..procs)
-        .map(|p| {
-            (0..n)
-                .map(|i| {
-                    Complex64::new(
-                        ((p * 31 + i) as f64 * 0.1).sin(),
-                        ((i * 17 + p) as f64 * 0.05).cos(),
-                    )
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Check 1: Eq. 11/14 vs the overlapped Model II machine.
+/// Check 1: Eq. 11/14 vs the overlapped Model II machine, on the
+/// `crosscheck_models` job family's preset grid.
 fn check_eq11_model2(quick: bool, rows_out: &mut Vec<CheckRow>) {
-    let (procs, n, ks): (usize, usize, &[usize]) = if quick {
-        (8, 64, &[1, 4, 8])
-    } else {
-        (16, 1024, &[1, 8, 64])
-    };
-    let rows = signal_rows(procs, n);
-    for &k in ks {
+    let CrosscheckSpec { procs, n, ks } = CrosscheckSpec::preset(quick);
+    let rows = crosscheck_signal_rows(procs, n);
+    for k in ks {
         let point = format!("P={procs},N={n},k={k}");
         eprintln!("crosscheck: eq11 machine at {point} ...");
         let t0 = Instant::now();
@@ -101,31 +81,23 @@ fn check_table3_pscan(quick: bool, rows_out: &mut Vec<CheckRow>) {
     let point = format!("P={procs},N={row_len}");
     eprintln!("crosscheck: table3 gather at {point} ...");
     let t0 = Instant::now();
-    let pscan = Pscan::new(PscanConfig::paper_default().with_nodes(procs));
-    let spec = GatherSpec {
-        slot_source: (0..procs * row_len).map(|k| k % procs).collect(),
-    };
-    let data: Vec<Vec<u64>> = (0..procs).map(|p| vec![p as u64; row_len]).collect();
-    let out = pscan
-        .gather(&spec, &data)
-        .expect("gather compiles and runs");
+    let wb = sca_writeback(procs, row_len).expect("gather compiles and runs");
     let wall = t0.elapsed().as_secs_f64();
 
     // A gap-free SCA moving S samples at one word per slot spans exactly S
     // slots at the terminus.
     let payload = (procs * row_len) as u64;
-    let span_slots = out.last_arrival.since(out.first_arrival).as_ps() / pscan.slot().as_ps() + 1;
     rows_out.push(check_exact_u64(
         "table3_span",
         &point,
-        span_slots,
+        wb.span_slots(),
         payload,
         wall,
     ));
     rows_out.push(check(
         "table3_utilization",
         &point,
-        out.utilization,
+        wb.utilization,
         1.0,
         0.0,
         payload,
@@ -138,11 +110,10 @@ fn check_table3_pscan(quick: bool, rows_out: &mut Vec<CheckRow>) {
         p: procs as u64,
         ..Default::default()
     };
-    let headers = payload.div_ceil(t3.s_r / t3.s_b);
     rows_out.push(check_exact_u64(
         "table3_cycles",
         &point,
-        payload + headers,
+        payload + wb.header_slots,
         t3.pscan_cycles(),
         wall,
     ));
@@ -159,18 +130,9 @@ fn check_eq21_mesh(quick: bool, rows_out: &mut Vec<CheckRow>) {
     for &block in blocks {
         let point = format!("nodes={nodes},block={block}");
         eprintln!("crosscheck: eq21 mesh scatter at {point} ...");
-        let cfg = MeshConfig {
-            topology: Topology::square(nodes, MemifPlacement::SingleCorner),
-            t_r: 1,
-            policy: RoutingPolicy::Xy,
-            memif: Default::default(),
-            buffer_depth: 2,
-            max_cycles: 1 << 30,
-            threads: 1,
-        };
         let t0 = Instant::now();
-        let mut mesh = load_scatter(cfg, block, 1);
-        let res = mesh.run().expect("scatter completes");
+        let cycles = eq21_scatter_cycles(nodes, block, RoutingPolicy::Xy, None, None)
+            .expect("scatter completes");
         let wall = t0.elapsed().as_secs_f64();
         let p = (nodes - 1) as u64;
         let flits = block as u64 + 1; // payload + header
@@ -178,15 +140,15 @@ fn check_eq21_mesh(quick: bool, rows_out: &mut Vec<CheckRow>) {
         rows_out.push(check(
             "eq21_delivery",
             &point,
-            res.cycles as f64,
+            cycles as f64,
             predicted as f64,
             TOL_EQ21_MESH,
-            res.cycles,
+            cycles,
             wall,
         ));
         // Eq. 22 as a ratio: delivery efficiency = serial-injection bound /
         // actual, predicted by F/(F + √P·t_r) in Eq. 21's integer form.
-        let measured_eta = (p * flits) as f64 / res.cycles as f64;
+        let measured_eta = (p * flits) as f64 / cycles as f64;
         let predicted_eta = (p * flits) as f64 / predicted as f64;
         rows_out.push(check(
             "eq22_efficiency",
@@ -266,21 +228,15 @@ fn check_eq20_bandwidth(rows_out: &mut Vec<CheckRow>) {
     let point = format!("P={procs},slots={}", procs * words);
     eprintln!("crosscheck: eq20 line rate at {point} ...");
     let t1 = Instant::now();
-    let pscan = Pscan::new(PscanConfig::paper_default().with_nodes(procs));
-    let spec = GatherSpec {
-        slot_source: (0..procs * words).map(|k| k % procs).collect(),
-    };
-    let data: Vec<Vec<u64>> = (0..procs).map(|p| vec![p as u64; words]).collect();
-    let out = pscan.gather(&spec, &data).expect("gather runs");
-    let span_ps = out.last_arrival.since(out.first_arrival).as_ps() + pscan.slot().as_ps();
-    let measured_gbps = out.bits as f64 / (span_ps as f64 * 1e-12) / 1e9;
+    let wb = sca_writeback(procs, words).expect("gather runs");
+    let measured_gbps = wb.bits as f64 / (wb.span_ps as f64 * 1e-12) / 1e9;
     rows_out.push(check(
         "eq20_line_rate",
         &point,
         measured_gbps,
-        pscan.config().plan.aggregate_gbps(),
+        delivered_gbps,
         TOL_LINE_RATE,
-        out.bits,
+        wb.bits,
         t1.elapsed().as_secs_f64(),
     ));
 }

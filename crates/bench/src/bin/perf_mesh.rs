@@ -52,8 +52,8 @@ fn run_one(
 ) -> Result<PerfRow, MeshError> {
     // The simulation core is shared with the `perf_mesh` job family in
     // [`bench::jobs`]; this bin adds the wall-clock-derived columns.
-    let point = perf_mesh_point(procs, row_len, policy, t_p, 1, interrupt)?;
-    let (cycles, flit_moves, wall_s) = (point.cycles, point.flit_moves, point.wall_s);
+    let (res, wall_s) = perf_mesh_point(procs, row_len, policy, t_p, 1, interrupt)?;
+    let (cycles, flit_moves) = (res.cycles, res.energy.router_traversals);
     let policy = format!("{policy:?}");
     let seed_wall_s = if (procs, row_len) == (1024, 1024) {
         SEED_WALL_S

@@ -19,12 +19,17 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::process::ExitCode;
 
+use bench::jobs::JobSpec;
 use serde::Value;
 
-const USAGE: &str =
-    "usage: psync_client [--socket PATH] <ping|status|list|cancel <job_id>|submit ...>\n\
-    submit: --family <table3|perf_mesh|ablate_faults|crosscheck_models> [--preset quick|paper]\n\
-            | --spec '<json object>'   plus optional --timeout-s X --tag T";
+fn usage() -> String {
+    let families = JobSpec::families().collect::<Vec<_>>().join("|");
+    format!(
+        "usage: psync_client [--socket PATH] <ping|status|list|cancel <job_id>|submit ...>\n    \
+         submit: --family <{families}> [--preset quick|paper]\n            \
+         | --spec '<json object>'   plus optional --timeout-s X --tag T"
+    )
+}
 
 struct Invocation {
     socket: String,
@@ -50,7 +55,7 @@ fn parse_args(args: Vec<String>) -> Result<Invocation, String> {
                     .ok_or_else(|| usage_err("--socket needs a value"))?;
             }
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 std::process::exit(0);
             }
             _ => rest.push(arg),
@@ -186,7 +191,7 @@ fn main() -> ExitCode {
     let inv = match parse_args(std::env::args().skip(1).collect()) {
         Ok(inv) => inv,
         Err(e) => {
-            eprintln!("psync_client: {e}\n{USAGE}");
+            eprintln!("psync_client: {e}\n{}", usage());
             return ExitCode::from(2);
         }
     };

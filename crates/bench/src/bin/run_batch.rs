@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bench::cache::{fingerprint_hex, ResultCache};
-use bench::jobs::{supervised_work, JobSpec, Table3Spec};
+use bench::jobs::{supervised_work, Family, JobSpec, Table3Spec};
 use bench::supervisor::{JobError, JobReport, JobSuccess, Supervisor, SupervisorConfig, Work};
 use bench::{BenchError, Experiment};
 use serde::Serialize;
@@ -147,14 +147,9 @@ fn main() -> Result<(), BenchError> {
         }
     }));
 
-    let cfg = if ex.quick() {
-        Table3Spec::quick()
-    } else {
-        // Paper-scale Table III: long-lived enough that an external
-        // `timeout -s INT` lands mid-simulation (procs must stay a perfect
-        // square for the mesh topology).
-        Table3Spec::paper()
-    };
+    // Paper-scale Table III is long-lived enough that an external
+    // `timeout -s INT` lands mid-simulation.
+    let cfg = Table3Spec::preset(ex.quick());
 
     let cache = Arc::new(ResultCache::new());
     // One worker: completion order (and which duplicate hits the cache) is

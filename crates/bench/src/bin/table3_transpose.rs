@@ -20,7 +20,7 @@
 //! The workload itself lives in [`bench::jobs`] so the supervised batch
 //! driver (`run_batch`) produces byte-identical result files.
 
-use bench::jobs::{run_table3, Table3Spec};
+use bench::jobs::{run_table3, Family, Table3Spec};
 use bench::{f, BenchError, Experiment};
 use pscan::compiler::{GatherSpec, ScatterSpec};
 use psync::machine::{Machine, MachineConfig};
@@ -52,11 +52,7 @@ fn traced_machine_writeback() -> Registry {
 
 fn main() -> std::result::Result<(), BenchError> {
     let mut ex = Experiment::new("table3");
-    let cfg = if ex.quick() {
-        Table3Spec::quick()
-    } else {
-        Table3Spec::paper()
-    };
+    let cfg = Table3Spec::preset(ex.quick());
     let tracing = ex.tracing();
 
     let interrupt = ex.interrupt();

@@ -26,8 +26,17 @@
 //!   nominal line rate; 5 % covers the fencepost slot at burst edges.
 
 use analytic::model::ModelIi;
+use analytic::table3::Table3Params;
+use emesh::mesh::{MeshConfig, MeshError, RoutingPolicy};
+use emesh::topology::{MemifPlacement, Topology};
+use emesh::workloads::load_scatter;
+use emesh::MeshFaultConfig;
 use fft::BlockedFft;
+use pscan::bus::BusError;
+use pscan::compiler::GatherSpec;
+use pscan::network::{Pscan, PscanConfig};
 use serde::Serialize;
+use sim_core::cancel::Interrupt;
 
 use crate::fidelity::{ValidatedRegion, ValidationEnvelope};
 
@@ -150,11 +159,7 @@ pub fn check(
     cycles: u64,
     wall_s: f64,
 ) -> CheckRow {
-    let rel_err = if predicted == 0.0 {
-        (measured - predicted).abs()
-    } else {
-        (measured - predicted).abs() / predicted.abs()
-    };
+    let rel_err = rel_err(measured, predicted);
     CheckRow {
         policy: format!("crosscheck:{name}[{point}]"),
         threads: 1,
@@ -166,6 +171,16 @@ pub fn check(
         rel_err,
         tol,
         pass: rel_err <= tol,
+    }
+}
+
+/// `|measured − predicted| / |predicted|`, or the absolute error when the
+/// prediction is zero.
+pub(crate) fn rel_err(measured: f64, predicted: f64) -> f64 {
+    if predicted == 0.0 {
+        (measured - predicted).abs()
+    } else {
+        (measured - predicted).abs() / predicted.abs()
     }
 }
 
@@ -207,6 +222,77 @@ pub fn failures(rows: &[CheckRow]) -> Vec<String> {
             )
         })
         .collect()
+}
+
+/// The measured Table III SCA writeback: `procs` CPs each drive `row_len`
+/// words onto the bus, one word per slot in round-robin order.
+#[derive(Debug, Clone, Copy)]
+pub struct ScaWriteback {
+    /// Picoseconds from the first arrival at the terminus to the end of the
+    /// last arrival's slot.
+    pub span_ps: u64,
+    /// One slot, picoseconds.
+    pub slot_ps: u64,
+    /// One header slot per DRAM row the burst fills.
+    pub header_slots: u64,
+    /// Fraction of slots in the span that carried data.
+    pub utilization: f64,
+    /// Data bits modulated onto the bus.
+    pub bits: u64,
+}
+
+impl ScaWriteback {
+    /// Slots the burst spans at the terminus.
+    pub fn span_slots(&self) -> u64 {
+        self.span_ps / self.slot_ps
+    }
+}
+
+/// Run the Table III SCA gather on a paper-default PSCAN of `procs` nodes.
+pub fn sca_writeback(procs: usize, row_len: usize) -> Result<ScaWriteback, BusError> {
+    let pscan = Pscan::new(PscanConfig::paper_default().with_nodes(procs));
+    let spec = GatherSpec {
+        slot_source: (0..procs * row_len).map(|k| k % procs).collect(),
+    };
+    let data: Vec<Vec<u64>> = (0..procs).map(|p| vec![p as u64; row_len]).collect();
+    let out = pscan.gather(&spec, &data)?;
+    let slot_ps = pscan.slot().as_ps();
+    let t3 = Table3Params {
+        n: row_len as u64,
+        p: procs as u64,
+        ..Default::default()
+    };
+    Ok(ScaWriteback {
+        span_ps: out.last_arrival.since(out.first_arrival).as_ps() + slot_ps,
+        slot_ps,
+        header_slots: ((procs * row_len) as u64).div_ceil(t3.s_r / t3.s_b),
+        utilization: out.utilization,
+        bits: out.bits,
+    })
+}
+
+/// Run the Eq. 21 scatter: the corner memory interface of a square
+/// `nodes`-router mesh sends one `block`-word block to every other node.
+/// Returns the completion cycles.
+pub fn eq21_scatter_cycles(
+    nodes: usize,
+    block: usize,
+    policy: RoutingPolicy,
+    faults: Option<MeshFaultConfig>,
+    interrupt: Option<&Interrupt>,
+) -> Result<u64, MeshError> {
+    let cfg = MeshConfig::paper_default()
+        .with_topology(Topology::square(nodes, MemifPlacement::SingleCorner))
+        .with_policy(policy)
+        .with_max_cycles(1 << 30);
+    let mut mesh = load_scatter(cfg, block, 1);
+    if let Some(faults) = faults {
+        mesh.enable_faults(faults);
+    }
+    if let Some(intr) = interrupt {
+        mesh.set_interrupt(intr.clone());
+    }
+    Ok(mesh.run()?.cycles)
 }
 
 /// The Eq. 11/14 prediction for a [`psync::run_model2_rows`] execution.
@@ -299,18 +385,7 @@ mod tests {
         // the prediction recovered from the serialized measurement must land
         // within f64 round-off.
         let (procs, n, k) = (4usize, 64usize, 4usize);
-        let rows: Vec<Vec<fft::Complex64>> = (0..procs)
-            .map(|p| {
-                (0..n)
-                    .map(|i| {
-                        fft::Complex64::new(
-                            ((p * 31 + i) as f64 * 0.1).sin(),
-                            ((i * 17 + p) as f64 * 0.05).cos(),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
+        let rows = crate::jobs::crosscheck_signal_rows(procs, n);
         let run = psync::run_model2_rows(procs, n, k, &rows);
         let pred = predict_model2(procs, n, k, run.serialized_seconds);
         let rel =

@@ -3,27 +3,24 @@
 //! daemon (`psyncd`).
 //!
 //! [`JobSpec`] is the one request surface: a versioned
-//! ([`SCHEMA_VERSION`]) enum covering every experiment family the
-//! supervision layer can route —
+//! ([`SCHEMA_VERSION`]) enum with one variant per experiment family, each a
+//! spec type implementing [`Family`] (wire name, presets, field overrides,
+//! validation and run):
 //!
 //! * **`table3`** — the Table III transpose (PSCAN closed form plus the
-//!   `t_p = 1`/`t_p = 4` mesh simulations), the reference workload whose
-//!   supervised result file is byte-identical to the direct
+//!   `t_p = 1`/`t_p = 4` mesh simulations), byte-identical to the direct
 //!   `table3_transpose` bin;
-//! * **`perf_mesh`** — one mesh transpose at a chosen routing policy and
-//!   thread count, reduced to its deterministic witness (cycles and flit
-//!   moves; the `perf_mesh` bin adds wall-clock around the same core);
+//! * **`perf_mesh`** — one mesh transpose at a chosen routing policy,
+//!   reduced to its deterministic witness (cycles and flit moves);
 //! * **`ablate_faults`** — the fault-rate degradation sweep over both
-//!   fabrics (shared point functions with the `ablate_faults` bin);
+//!   fabrics;
 //! * **`crosscheck_models`** — the Eq. 11/14 conformance checks of the
 //!   cycle-accurate Model II machine against the §V closed forms;
-//! * **`full_matrix`** — the complete 21-row ablation matrix under the
-//!   multi-fidelity engine ([`crate::fidelity`]): each row answered from
-//!   the validated closed form where an envelope covers it, simulated
-//!   where not, with a [`crate::fidelity::FidelityDecision`] on every row;
+//! * **`full_matrix`** — the 21-row ablation matrix under the
+//!   multi-fidelity engine ([`crate::fidelity`]), with a
+//!   [`crate::fidelity::FidelityDecision`] on every row;
 //! * **`collectives`** — all-to-all / all-gather / all-reduce traffic on
-//!   both fabrics over a chosen mesh/torus geometry (shared cores with the
-//!   `collectives` bin).
+//!   both fabrics over a chosen mesh/torus geometry.
 //!
 //! Every family's result is a deterministic JSON document, which is what
 //! makes the exact result cache ([`crate::cache`]) sound: the cache key is
@@ -45,14 +42,13 @@ use analytic::table3::{
 };
 use emesh::collectives::run_mesh_collective;
 use emesh::energy::OrionParams;
-use emesh::mesh::{MeshConfig, MeshError, RoutingPolicy};
+use emesh::mesh::{MeshConfig, MeshError, MeshRunResult, RoutingPolicy};
 use emesh::topology::{MemifPlacement, Topology};
-use emesh::workloads::{load_scatter, load_transpose};
+use emesh::workloads::load_transpose;
 use emesh::{MeshFaultConfig, MeshFaultStats};
 use fft::Complex64;
 use pscan::compiler::GatherSpec;
 use pscan::faults::PscanFaultConfig;
-use pscan::network::{Pscan, PscanConfig};
 use psync::collectives::run_sca_collective;
 use psync::machine::{Machine, MachineConfig, MachineError};
 use rayon::prelude::*;
@@ -62,6 +58,9 @@ use sim_core::collective::Collective;
 use sim_core::telemetry::Registry;
 
 use crate::cache::{fnv1a64, ResultCache};
+use crate::crosscheck::{
+    eq21_scatter_cycles, predict_model2, rel_err, sca_writeback, witness, TOL_ALGEBRAIC,
+};
 use crate::fidelity::{
     decide, record_decision, FidelityDecision, FidelityPolicy, PointConfig, ValidationRegistry,
 };
@@ -82,258 +81,120 @@ use crate::supervisor::{JobSuccess, Work, WorkError};
 pub const SCHEMA_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------------
-// Per-family specifications
+// The family contract and the JobSpec enum
 // ---------------------------------------------------------------------------
 
-/// The Table III workload configuration: everything that determines the
-/// resulting cycle counts.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Table3Spec {
-    /// Mesh/PSCAN processor count `P` (a perfect square for the mesh).
-    pub procs: usize,
-    /// Samples per processor row, `N`.
-    pub row_len: usize,
-    /// Worker threads requested of the mesh. The executor is sequential,
-    /// so results are bit-identical for any value.
-    pub threads: usize,
+/// What a family's run returns: its rows plus any telemetry registries.
+pub type RunResult<T> = Result<(T, Vec<Registry>), WorkError>;
+
+/// One experiment family: a spec type with its wire name, presets, field
+/// overrides, validation and run.
+pub trait Family: Serialize + Sized {
+    /// The wire name: the `family` field of requests and canonical JSON.
+    const NAME: &'static str;
+    /// The [`JobSpec`] variant that holds this family.
+    const VARIANT: fn(Self) -> JobSpec;
+    /// What a run returns; [`JobSpec::run`] serializes it.
+    type Rows: Serialize + 'static;
+
+    /// The quick (per-PR) or paper-scale configuration.
+    fn preset(quick: bool) -> Self;
+
+    /// Override every field `v` carries; a wrong-typed value is a
+    /// `spec.<field> must be …` error.
+    fn set_fields(&mut self, v: &Value) -> Result<(), String>;
+
+    /// Reject configurations the fabrics would panic on or could not hold,
+    /// with a message naming the offending field.
+    fn validate(&self) -> Result<(), String>;
+
+    /// Run the experiment (telemetry registries only when `tracing`):
+    /// `Cancelled` when the interrupt fired, `Fatal` for everything else.
+    fn run(&self, tracing: bool, interrupt: Option<&Interrupt>) -> RunResult<Self::Rows>;
 }
 
-impl Table3Spec {
-    /// The `--quick` configuration (256 processors, 256-sample rows).
-    pub fn quick() -> Self {
-        Table3Spec {
-            procs: 256,
-            row_len: 256,
-            threads: 1,
-        }
-    }
-
-    /// The full paper configuration (P = 1024, N = 1024).
-    pub fn paper() -> Self {
-        Table3Spec {
-            procs: 1024,
-            row_len: 1024,
-            threads: 1,
-        }
-    }
-
-    /// Canonical JSON of this spec alone (the [`JobSpec::canonical_json`]
-    /// envelope adds the schema version and family tag).
-    pub fn canonical_json(&self) -> String {
-        serde_json::to_string(self).expect("Table3Spec serializes")
-    }
-}
-
-/// One mesh-transpose performance point, reduced to deterministic fields.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct PerfMeshSpec {
-    /// Mesh processor count (a perfect square).
-    pub procs: usize,
-    /// Samples per processor row.
-    pub row_len: usize,
-    /// Routing policy: `"MinimalAdaptive"` or `"Xy"`.
-    pub policy: String,
-    /// Memory port service time `t_p`.
-    pub t_p: u64,
-    /// Worker threads (bit-identical results for any value).
-    pub threads: usize,
-}
-
-impl PerfMeshSpec {
-    /// The `--quick` configuration.
-    pub fn quick() -> Self {
-        PerfMeshSpec {
-            procs: 256,
-            row_len: 256,
-            policy: "MinimalAdaptive".to_string(),
-            t_p: 1,
-            threads: 1,
-        }
-    }
-
-    /// The full paper-scale configuration (the 2²⁰-element transpose).
-    pub fn paper() -> Self {
-        PerfMeshSpec {
-            procs: 1024,
-            row_len: 1024,
-            ..PerfMeshSpec::quick()
-        }
-    }
-
-    /// Parse the policy string.
-    pub fn routing_policy(&self) -> Result<RoutingPolicy, String> {
-        match self.policy.as_str() {
-            "MinimalAdaptive" | "minimal_adaptive" => Ok(RoutingPolicy::MinimalAdaptive),
-            "Xy" | "xy" => Ok(RoutingPolicy::Xy),
-            other => Err(format!(
-                "unknown routing policy {other:?} (expected MinimalAdaptive or Xy)"
-            )),
-        }
+/// A spec field type [`set`] reads from a request value.
+trait Field: Sized {
+    /// What a JSON value of this type is called ("number").
+    const NOUN: &'static str;
+    /// `v` as this type, if it is one.
+    const READ: fn(&Value) -> Option<Self>;
+    /// The "must be …" phrase of a wrong-typed value's error.
+    fn want() -> String {
+        format!("a {}", Self::NOUN)
     }
 }
 
-/// The fault-injection degradation sweep over both fabrics.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct AblateFaultsSpec {
-    /// Word/flit error probabilities to sweep, each in `[0, 1)`.
-    pub rates: Vec<f64>,
-    /// Mesh processor count for the transpose (a perfect square).
-    pub procs: usize,
-    /// Samples per processor row.
-    pub row_len: usize,
-    /// SCA writeback bursts on the photonic machine.
-    pub gathers: usize,
-    /// Mesh worker threads.
-    pub threads: usize,
+impl Field for usize {
+    const NOUN: &'static str = "non-negative integer";
+    const READ: fn(&Value) -> Option<Self> = |v| v.as_u64()?.try_into().ok();
 }
 
-impl AblateFaultsSpec {
-    /// The `--quick` configuration the `ablate_faults` bin uses.
-    pub fn quick() -> Self {
-        AblateFaultsSpec {
-            rates: FAULT_RATES.to_vec(),
-            procs: 16,
-            row_len: 16,
-            gathers: 4,
-            threads: 1,
-        }
-    }
+impl Field for u64 {
+    const NOUN: &'static str = "non-negative integer";
+    const READ: fn(&Value) -> Option<Self> = Value::as_u64;
+}
 
-    /// The full configuration the `ablate_faults` bin uses.
-    pub fn paper() -> Self {
-        AblateFaultsSpec {
-            procs: 64,
-            row_len: 64,
-            gathers: 16,
-            ..AblateFaultsSpec::quick()
-        }
+impl Field for f64 {
+    const NOUN: &'static str = "number";
+    const READ: fn(&Value) -> Option<Self> = Value::as_f64;
+}
+
+impl Field for bool {
+    const NOUN: &'static str = "boolean";
+    const READ: fn(&Value) -> Option<Self> = Value::as_bool;
+}
+
+impl Field for String {
+    const NOUN: &'static str = "string";
+    const READ: fn(&Value) -> Option<Self> = |v| v.as_str().map(str::to_string);
+}
+
+impl<T: Field> Field for Vec<T> {
+    const NOUN: &'static str = "array";
+    const READ: fn(&Value) -> Option<Self> = |v| v.as_array()?.iter().map(T::READ).collect();
+    fn want() -> String {
+        format!("an array of {}s", T::NOUN)
     }
 }
 
-/// The Eq. 11/14 conformance check: the overlapped Model II machine vs the
-/// §V closed forms, at a grid of block counts.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct CrosscheckSpec {
-    /// Processor count.
-    pub procs: usize,
-    /// Samples per row.
-    pub n: usize,
-    /// Blocks-per-row values to check.
-    pub ks: Vec<usize>,
+/// Override `*slot` with field `key` of `v` when `v` has it. Absent fields
+/// keep the preset; unknown fields are never looked at.
+fn set<T: Field>(v: &Value, key: &str, slot: &mut T) -> Result<(), String> {
+    if let Some(x) = v.get(key) {
+        *slot = T::READ(x).ok_or_else(|| format!("spec.{key} must be {}", T::want()))?;
+    }
+    Ok(())
 }
 
-impl CrosscheckSpec {
-    /// The `--quick` grid the `crosscheck_models` bin uses for check 1.
-    pub fn quick() -> Self {
-        CrosscheckSpec {
-            procs: 8,
-            n: 64,
-            ks: vec![1, 4, 8],
-        }
-    }
-
-    /// The full grid the `crosscheck_models` bin uses for check 1.
-    pub fn paper() -> Self {
-        CrosscheckSpec {
-            procs: 16,
-            n: 1024,
-            ks: vec![1, 8, 64],
-        }
+/// `Err` naming `what` unless `value` is known (no overflow) and at most
+/// `max`.
+fn at_most(what: &str, value: Option<usize>, max: usize) -> Result<(), String> {
+    match value {
+        Some(v) if v <= max => Ok(()),
+        _ => Err(format!("{what} must be at most {max}")),
     }
 }
 
-/// The 21-row ablation matrix under the multi-fidelity engine.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct FullMatrixSpec {
-    /// Point sizing: `"quick"` (per-PR) or `"paper"` (full scale).
-    pub scale: String,
-    /// Fidelity policy, in [`FidelityPolicy::parse`] spelling
-    /// (`analytic` / `cycle_accurate` / `auto` / `auto:<rel_err>`). Part
-    /// of the canonical JSON, so runs at different fidelities can never
-    /// share a cache entry.
-    pub fidelity: String,
-    /// Also run the all-cycle-accurate reference pass and attach
-    /// per-row disagreement columns.
-    pub reference: bool,
+/// [`Family`] with its row type erased, for [`JobSpec`]'s one `match`.
+trait DynFamily: Serialize {
+    fn name(&self) -> &'static str;
+    fn check(&self) -> Result<(), String>;
+    fn run_rows(&self, tracing: bool, intr: Option<&Interrupt>) -> RunResult<Box<dyn Serialize>>;
 }
 
-impl FullMatrixSpec {
-    /// The `--quick` configuration: small points, Auto fidelity, with the
-    /// cycle-accurate reference pass (cheap at this scale, and it is what
-    /// lets CI assert every analytic row sits inside its envelope).
-    pub fn quick() -> Self {
-        FullMatrixSpec {
-            scale: "quick".to_string(),
-            fidelity: "auto".to_string(),
-            reference: true,
-        }
+impl<F: Family> DynFamily for F {
+    fn name(&self) -> &'static str {
+        F::NAME
     }
-
-    /// The full-scale configuration: paper-size points, Auto fidelity, no
-    /// reference pass — the whole point is that full scale no longer costs
-    /// a full simulation sweep.
-    pub fn paper() -> Self {
-        FullMatrixSpec {
-            scale: "paper".to_string(),
-            fidelity: "auto".to_string(),
-            reference: false,
-        }
+    fn check(&self) -> Result<(), String> {
+        self.validate()
     }
-
-    /// Parse the fidelity field.
-    pub fn policy(&self) -> Result<FidelityPolicy, String> {
-        FidelityPolicy::parse(&self.fidelity)
+    fn run_rows(&self, tracing: bool, intr: Option<&Interrupt>) -> RunResult<Box<dyn Serialize>> {
+        let (rows, regs) = self.run(tracing, intr)?;
+        Ok((Box::new(rows), regs))
     }
 }
-
-/// The collective-traffic comparison: all three collectives on both
-/// fabrics over one mesh/torus geometry.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct CollectivesSpec {
-    /// Mesh width (columns).
-    pub width: usize,
-    /// Mesh height (rows).
-    pub height: usize,
-    /// Wrap the mesh edges into a torus.
-    pub torus: bool,
-    /// Payload words per node per block.
-    pub words: usize,
-    /// Mesh worker threads (bit-identical results for any value).
-    pub threads: usize,
-}
-
-impl CollectivesSpec {
-    /// The `--quick` configuration (4×4 mesh, 4-word blocks).
-    pub fn quick() -> Self {
-        CollectivesSpec {
-            width: 4,
-            height: 4,
-            torus: false,
-            words: 4,
-            threads: 1,
-        }
-    }
-
-    /// The full configuration (16×16 mesh, 64-word blocks).
-    pub fn paper() -> Self {
-        CollectivesSpec {
-            width: 16,
-            height: 16,
-            words: 64,
-            ..CollectivesSpec::quick()
-        }
-    }
-
-    /// The mesh topology this spec describes (memory interface in the
-    /// single corner, as in the Table III runs).
-    pub fn topology(&self) -> Topology {
-        Topology::rect(self.width, self.height, MemifPlacement::SingleCorner).with_torus(self.torus)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The unified JobSpec enum
-// ---------------------------------------------------------------------------
 
 /// A typed experiment request: one variant per routable experiment family.
 ///
@@ -356,81 +217,64 @@ pub enum JobSpec {
     Collectives(CollectivesSpec),
 }
 
+/// A family's preset with a request's fields applied (not yet validated).
+type Parser = fn(&Value, bool) -> Result<JobSpec, String>;
+
+fn parse<F: Family>(v: &Value, quick: bool) -> Result<JobSpec, String> {
+    let mut spec = F::preset(quick);
+    spec.set_fields(v)?;
+    Ok(F::VARIANT(spec))
+}
+
+/// Every family's wire name and parser, in wire-listing order.
+const FAMILY_TABLE: [(&str, Parser); 6] = [
+    (Table3Spec::NAME, parse::<Table3Spec>),
+    (PerfMeshSpec::NAME, parse::<PerfMeshSpec>),
+    (AblateFaultsSpec::NAME, parse::<AblateFaultsSpec>),
+    (CrosscheckSpec::NAME, parse::<CrosscheckSpec>),
+    (FullMatrixSpec::NAME, parse::<FullMatrixSpec>),
+    (CollectivesSpec::NAME, parse::<CollectivesSpec>),
+];
+
 impl JobSpec {
-    /// The wire name of this spec's experiment family.
-    pub fn family(&self) -> &'static str {
+    /// The family behind this variant.
+    fn family_impl(&self) -> &dyn DynFamily {
         match self {
-            JobSpec::Table3(_) => "table3",
-            JobSpec::PerfMesh(_) => "perf_mesh",
-            JobSpec::AblateFaults(_) => "ablate_faults",
-            JobSpec::CrosscheckModels(_) => "crosscheck_models",
-            JobSpec::FullMatrix(_) => "full_matrix",
-            JobSpec::Collectives(_) => "collectives",
+            JobSpec::Table3(s) => s,
+            JobSpec::PerfMesh(s) => s,
+            JobSpec::AblateFaults(s) => s,
+            JobSpec::CrosscheckModels(s) => s,
+            JobSpec::FullMatrix(s) => s,
+            JobSpec::Collectives(s) => s,
         }
     }
 
+    fn parser(family: &str) -> Option<Parser> {
+        let entry = FAMILY_TABLE.iter().find(|(name, _)| *name == family);
+        entry.map(|&(_, parse)| parse)
+    }
+
+    /// The wire name of this spec's experiment family.
+    pub fn family(&self) -> &'static str {
+        self.family_impl().name()
+    }
+
     /// Every routable family name, in wire spelling.
-    pub const FAMILIES: [&'static str; 6] = [
-        "table3",
-        "perf_mesh",
-        "ablate_faults",
-        "crosscheck_models",
-        "full_matrix",
-        "collectives",
-    ];
+    pub fn families() -> impl Iterator<Item = &'static str> {
+        FAMILY_TABLE.iter().map(|&(name, _)| name)
+    }
 
     /// The preset spec for `family`: the quick or full configuration the
     /// corresponding harness bin runs. `None` for an unknown family.
     pub fn preset(family: &str, quick: bool) -> Option<JobSpec> {
-        let spec = match family {
-            "table3" => JobSpec::Table3(if quick {
-                Table3Spec::quick()
-            } else {
-                Table3Spec::paper()
-            }),
-            "perf_mesh" => JobSpec::PerfMesh(if quick {
-                PerfMeshSpec::quick()
-            } else {
-                PerfMeshSpec::paper()
-            }),
-            "ablate_faults" => JobSpec::AblateFaults(if quick {
-                AblateFaultsSpec::quick()
-            } else {
-                AblateFaultsSpec::paper()
-            }),
-            "crosscheck_models" => JobSpec::CrosscheckModels(if quick {
-                CrosscheckSpec::quick()
-            } else {
-                CrosscheckSpec::paper()
-            }),
-            "full_matrix" => JobSpec::FullMatrix(if quick {
-                FullMatrixSpec::quick()
-            } else {
-                FullMatrixSpec::paper()
-            }),
-            "collectives" => JobSpec::Collectives(if quick {
-                CollectivesSpec::quick()
-            } else {
-                CollectivesSpec::paper()
-            }),
-            _ => return None,
-        };
-        Some(spec)
+        Self::parser(family)?(&Value::Null, quick).ok()
     }
 
     /// Canonical JSON for config hashing and the wire: a versioned envelope
     /// with a stable field order, so equal specs always serialize to equal
     /// bytes.
     pub fn canonical_json(&self) -> String {
-        let spec = match self {
-            JobSpec::Table3(s) => serde_json::to_string(s),
-            JobSpec::PerfMesh(s) => serde_json::to_string(s),
-            JobSpec::AblateFaults(s) => serde_json::to_string(s),
-            JobSpec::CrosscheckModels(s) => serde_json::to_string(s),
-            JobSpec::FullMatrix(s) => serde_json::to_string(s),
-            JobSpec::Collectives(s) => serde_json::to_string(s),
-        }
-        .expect("job specs serialize");
+        let spec = serde_json::to_string(self.family_impl()).expect("job specs serialize");
         format!(
             "{{\"schema\":{SCHEMA_VERSION},\"family\":\"{}\",\"spec\":{spec}}}",
             self.family()
@@ -461,121 +305,19 @@ impl JobSpec {
             .and_then(Value::as_str)
             .ok_or_else(|| "spec.family must be a string".to_string())?;
         let quick = match v.get("preset").and_then(Value::as_str) {
-            None => true,
-            Some("quick") => true,
-            Some("paper") | Some("full") => false,
+            None | Some("quick") => true,
+            Some("paper" | "full") => false,
             Some(other) => {
                 return Err(format!(
                     "spec.preset {other:?} unknown (expected \"quick\" or \"paper\")"
                 ))
             }
         };
-        let mut spec = JobSpec::preset(family, quick).ok_or_else(|| {
-            format!(
-                "unknown family {family:?} (expected one of {:?})",
-                JobSpec::FAMILIES
-            )
+        let parse = Self::parser(family).ok_or_else(|| {
+            let known: Vec<_> = Self::families().collect();
+            format!("unknown family {family:?} (expected one of {known:?})")
         })?;
-        let usize_field = |key: &str, default: usize| -> Result<usize, String> {
-            match v.get(key) {
-                None => Ok(default),
-                Some(f) => f
-                    .as_u64()
-                    .and_then(|n| usize::try_from(n).ok())
-                    .ok_or_else(|| format!("spec.{key} must be a non-negative integer")),
-            }
-        };
-        match &mut spec {
-            JobSpec::Table3(s) => {
-                s.procs = usize_field("procs", s.procs)?;
-                s.row_len = usize_field("row_len", s.row_len)?;
-                s.threads = usize_field("threads", s.threads)?;
-            }
-            JobSpec::PerfMesh(s) => {
-                s.procs = usize_field("procs", s.procs)?;
-                s.row_len = usize_field("row_len", s.row_len)?;
-                s.threads = usize_field("threads", s.threads)?;
-                if let Some(t) = v.get("t_p") {
-                    s.t_p = t
-                        .as_u64()
-                        .ok_or_else(|| "spec.t_p must be a non-negative integer".to_string())?;
-                }
-                if let Some(p) = v.get("policy") {
-                    s.policy = p
-                        .as_str()
-                        .ok_or_else(|| "spec.policy must be a string".to_string())?
-                        .to_string();
-                }
-            }
-            JobSpec::AblateFaults(s) => {
-                s.procs = usize_field("procs", s.procs)?;
-                s.row_len = usize_field("row_len", s.row_len)?;
-                s.gathers = usize_field("gathers", s.gathers)?;
-                s.threads = usize_field("threads", s.threads)?;
-                if let Some(r) = v.get("rates") {
-                    let items = r
-                        .as_array()
-                        .ok_or_else(|| "spec.rates must be an array of numbers".to_string())?;
-                    s.rates = items
-                        .iter()
-                        .map(|x| {
-                            x.as_f64()
-                                .ok_or_else(|| "spec.rates must be an array of numbers".to_string())
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-            }
-            JobSpec::FullMatrix(s) => {
-                if let Some(f) = v.get("fidelity") {
-                    s.fidelity = f
-                        .as_str()
-                        .ok_or_else(|| "spec.fidelity must be a string".to_string())?
-                        .to_string();
-                }
-                if let Some(r) = v.get("reference") {
-                    s.reference = r
-                        .as_bool()
-                        .ok_or_else(|| "spec.reference must be a boolean".to_string())?;
-                }
-                // `scale` follows the preset; an explicit field overrides.
-                if let Some(sc) = v.get("scale") {
-                    s.scale = sc
-                        .as_str()
-                        .ok_or_else(|| "spec.scale must be a string".to_string())?
-                        .to_string();
-                }
-            }
-            JobSpec::Collectives(s) => {
-                s.width = usize_field("width", s.width)?;
-                s.height = usize_field("height", s.height)?;
-                s.words = usize_field("words", s.words)?;
-                s.threads = usize_field("threads", s.threads)?;
-                if let Some(t) = v.get("torus") {
-                    s.torus = t
-                        .as_bool()
-                        .ok_or_else(|| "spec.torus must be a boolean".to_string())?;
-                }
-            }
-            JobSpec::CrosscheckModels(s) => {
-                s.procs = usize_field("procs", s.procs)?;
-                s.n = usize_field("n", s.n)?;
-                if let Some(k) = v.get("ks") {
-                    let items = k
-                        .as_array()
-                        .ok_or_else(|| "spec.ks must be an array of integers".to_string())?;
-                    s.ks = items
-                        .iter()
-                        .map(|x| {
-                            x.as_u64()
-                                .and_then(|n| usize::try_from(n).ok())
-                                .ok_or_else(|| {
-                                    "spec.ks must be an array of non-negative integers".to_string()
-                                })
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-            }
-        }
+        let spec = parse(v, quick)?;
         spec.validate()?;
         Ok(spec)
     }
@@ -583,86 +325,7 @@ impl JobSpec {
     /// Reject configurations the fabrics would panic on, so a bad request
     /// is a structured error instead of a `Panicked` job report.
     pub fn validate(&self) -> Result<(), String> {
-        let mesh_geometry = |procs: usize, row_len: usize, threads: usize| {
-            if procs == 0 || row_len == 0 {
-                return Err("procs and row_len must be positive".to_string());
-            }
-            let side = (procs as f64).sqrt() as usize;
-            if side * side != procs {
-                return Err(format!("procs must be a perfect square, got {procs}"));
-            }
-            if threads == 0 {
-                return Err("threads must be at least 1".to_string());
-            }
-            Ok(())
-        };
-        match self {
-            JobSpec::Table3(s) => mesh_geometry(s.procs, s.row_len, s.threads),
-            JobSpec::PerfMesh(s) => {
-                mesh_geometry(s.procs, s.row_len, s.threads)?;
-                s.routing_policy().map(|_| ())
-            }
-            JobSpec::AblateFaults(s) => {
-                mesh_geometry(s.procs, s.row_len, s.threads)?;
-                if s.gathers == 0 {
-                    return Err("gathers must be at least 1".to_string());
-                }
-                if s.rates.is_empty() {
-                    return Err("rates must be non-empty".to_string());
-                }
-                for &r in &s.rates {
-                    if !r.is_finite() || !(0.0..1.0).contains(&r) {
-                        return Err(format!("rates must be finite in [0, 1), got {r}"));
-                    }
-                }
-                Ok(())
-            }
-            JobSpec::CrosscheckModels(s) => {
-                if s.procs == 0 || s.n == 0 {
-                    return Err("procs and n must be positive".to_string());
-                }
-                if !s.n.is_power_of_two() {
-                    return Err(format!("n must be a power of two, got {}", s.n));
-                }
-                if s.ks.is_empty() {
-                    return Err("ks must be non-empty".to_string());
-                }
-                for &k in &s.ks {
-                    if k == 0 || k > s.n || !k.is_power_of_two() {
-                        return Err(format!(
-                            "each k must be a power of two in [1, n={}], got {k}",
-                            s.n
-                        ));
-                    }
-                }
-                Ok(())
-            }
-            JobSpec::FullMatrix(s) => {
-                if s.scale != "quick" && s.scale != "paper" {
-                    return Err(format!(
-                        "scale must be \"quick\" or \"paper\", got {:?}",
-                        s.scale
-                    ));
-                }
-                s.policy().map(|_| ()).map_err(|e| format!("fidelity: {e}"))
-            }
-            JobSpec::Collectives(s) => {
-                if s.width < 2 || s.height < 2 {
-                    return Err(format!(
-                        "width and height must each be at least 2 (a corner memif \
-                         must leave collective participants), got {}x{}",
-                        s.width, s.height
-                    ));
-                }
-                if s.words == 0 {
-                    return Err("words must be at least 1".to_string());
-                }
-                if s.threads == 0 {
-                    return Err("threads must be at least 1".to_string());
-                }
-                Ok(())
-            }
-        }
+        self.family_impl().check()
     }
 
     /// Run the experiment this spec describes to its deterministic result
@@ -671,97 +334,135 @@ impl JobSpec {
     ///
     /// # Errors
     /// A classified [`WorkError`]: `Cancelled` when the interrupt fired,
-    /// `Fatal` for everything else.
-    pub fn run(
-        &self,
-        tracing: bool,
-        interrupt: Option<&Interrupt>,
-    ) -> Result<(String, Vec<Registry>), WorkError> {
-        match self {
-            JobSpec::Table3(s) => {
-                let (row, regs) = run_table3(s, tracing, interrupt).map_err(classify_mesh)?;
-                let json = serde_json::to_string_pretty(&row).map_err(serialize_err)?;
-                Ok((json, regs))
-            }
-            JobSpec::PerfMesh(s) => {
-                let policy = s
-                    .routing_policy()
-                    .map_err(|detail| WorkError::Fatal { detail })?;
-                let point =
-                    perf_mesh_point(s.procs, s.row_len, policy, s.t_p, s.threads, interrupt)
-                        .map_err(classify_mesh)?;
-                let row = PerfMeshRow {
-                    procs: s.procs,
-                    row_len: s.row_len,
-                    elements: s.procs * s.row_len,
-                    policy: s.policy.clone(),
-                    t_p: s.t_p,
-                    threads: s.threads,
-                    cycles: point.cycles,
-                    flit_moves: point.flit_moves,
-                };
-                let json = serde_json::to_string_pretty(&row).map_err(serialize_err)?;
-                Ok((json, Vec::new()))
-            }
-            JobSpec::AblateFaults(s) => {
-                let points = run_ablate_faults(s, interrupt)?;
-                let json = serde_json::to_string_pretty(&points).map_err(serialize_err)?;
-                Ok((json, Vec::new()))
-            }
-            JobSpec::CrosscheckModels(s) => {
-                let rows = run_crosscheck_model2(s, interrupt)?;
-                let json = serde_json::to_string_pretty(&rows).map_err(serialize_err)?;
-                Ok((json, Vec::new()))
-            }
-            JobSpec::FullMatrix(s) => {
-                let reg = tracing.then(Registry::new);
-                let (result, _timing) = run_full_matrix(s, interrupt, reg.as_ref())?;
-                let json = serde_json::to_string_pretty(&result).map_err(serialize_err)?;
-                Ok((json, reg.into_iter().collect()))
-            }
-            JobSpec::Collectives(s) => {
-                let (rows, regs) = run_collectives(s, tracing, interrupt)?;
-                let json = serde_json::to_string_pretty(&rows).map_err(serialize_err)?;
-                Ok((json, regs))
-            }
-        }
+    /// `Fatal` for an invalid spec and everything else.
+    pub fn run(&self, tracing: bool, interrupt: Option<&Interrupt>) -> RunResult<String> {
+        let family = self.family_impl();
+        family
+            .check()
+            .map_err(|detail| WorkError::Fatal { detail })?;
+        let (rows, regs) = family.run_rows(tracing, interrupt)?;
+        let json = serde_json::to_string_pretty(&*rows).map_err(|e| WorkError::Fatal {
+            detail: format!("serialize result rows: {e}"),
+        })?;
+        Ok((json, regs))
     }
 }
 
-/// Classify a fabric error for the supervisor. A watchdog `NoProgress` is
-/// `Fatal` like every other non-cancel error: fault draws are deterministic,
-/// so the same spec fails the same way again.
-fn classify_mesh(e: MeshError) -> WorkError {
-    match &e {
-        MeshError::Cancelled { .. } => WorkError::Cancelled {
-            detail: e.to_string(),
-        },
-        _ => WorkError::Fatal {
-            detail: e.to_string(),
-        },
+/// Classify a fabric error for the supervisor: `Cancelled` when the
+/// interrupt fired, else `Fatal`. A watchdog `NoProgress` is `Fatal` too:
+/// fault draws are deterministic, so the same spec fails the same way again.
+fn classify(cancelled: bool, e: impl std::fmt::Display) -> WorkError {
+    let detail = e.to_string();
+    if cancelled {
+        WorkError::Cancelled { detail }
+    } else {
+        WorkError::Fatal { detail }
     }
+}
+
+fn classify_mesh(e: MeshError) -> WorkError {
+    classify(matches!(e, MeshError::Cancelled { .. }), e)
 }
 
 fn classify_machine(e: MachineError) -> WorkError {
-    match &e {
-        MachineError::Cancelled { .. } => WorkError::Cancelled {
-            detail: e.to_string(),
-        },
-        _ => WorkError::Fatal {
-            detail: e.to_string(),
-        },
+    classify(matches!(e, MachineError::Cancelled { .. }), e)
+}
+
+/// The between-rows cancellation poll of the multi-row families: `done`
+/// rows are finished, and `done` is the position the interrupt sees.
+fn poll_between_rows(
+    intr: &mut Option<Interrupt>,
+    family: &str,
+    done: usize,
+) -> Result<(), WorkError> {
+    match intr.as_mut().and_then(|i| i.check(done as u64)) {
+        Some(cause) => Err(WorkError::Cancelled {
+            detail: format!("{family} Cancelled after {done} row(s) ({cause})"),
+        }),
+        None => Ok(()),
     }
 }
 
-fn serialize_err(e: serde_json::Error) -> WorkError {
-    WorkError::Fatal {
-        detail: format!("serialize result rows: {e}"),
+/// Parse a routing-policy name (`MinimalAdaptive`/`minimal_adaptive`,
+/// `Xy`/`xy`).
+fn parse_routing_policy(name: &str) -> Result<RoutingPolicy, String> {
+    match name {
+        "MinimalAdaptive" | "minimal_adaptive" => Ok(RoutingPolicy::MinimalAdaptive),
+        "Xy" | "xy" => Ok(RoutingPolicy::Xy),
+        other => Err(format!(
+            "unknown routing policy {other:?} (expected MinimalAdaptive or Xy)"
+        )),
     }
+}
+
+/// Largest mesh a transpose family accepts: 16× the paper's P = 1024.
+const MAX_MESH_PROCS: usize = 1 << 14;
+/// Largest transpose a mesh family accepts: 16× the paper's 2²⁰ elements.
+const MAX_MESH_ELEMENTS: usize = 1 << 24;
+
+/// The geometry checks of the mesh-transpose families.
+fn mesh_geometry(procs: usize, row_len: usize, threads: usize) -> Result<(), String> {
+    if procs == 0 || row_len == 0 {
+        return Err("procs and row_len must be positive".to_string());
+    }
+    at_most("procs", Some(procs), MAX_MESH_PROCS)?;
+    let elements = procs.checked_mul(row_len);
+    at_most("procs × row_len", elements, MAX_MESH_ELEMENTS)?;
+    if procs.isqrt().pow(2) != procs {
+        return Err(format!("procs must be a perfect square, got {procs}"));
+    }
+    if threads == 0 {
+        return Err("threads must be at least 1".to_string());
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // table3 family
 // ---------------------------------------------------------------------------
+
+/// The Table III workload configuration: everything that determines the
+/// resulting cycle counts.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct Table3Spec {
+    /// Mesh/PSCAN processor count `P` (a perfect square for the mesh).
+    pub procs: usize,
+    /// Samples per processor row, `N`.
+    pub row_len: usize,
+    /// Worker threads requested of the mesh. The executor is sequential,
+    /// so results are bit-identical for any value.
+    pub threads: usize,
+}
+
+impl Family for Table3Spec {
+    const NAME: &'static str = "table3";
+    const VARIANT: fn(Self) -> JobSpec = JobSpec::Table3;
+    type Rows = Table3Row;
+
+    /// Quick: P = N = 256. Paper: P = N = 1024.
+    fn preset(quick: bool) -> Self {
+        let side = if quick { 256 } else { 1024 };
+        Table3Spec {
+            procs: side,
+            row_len: side,
+            threads: 1,
+        }
+    }
+
+    fn set_fields(&mut self, v: &Value) -> Result<(), String> {
+        set(v, "procs", &mut self.procs)?;
+        set(v, "row_len", &mut self.row_len)?;
+        set(v, "threads", &mut self.threads)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        mesh_geometry(self.procs, self.row_len, self.threads)
+    }
+
+    fn run(&self, tracing: bool, interrupt: Option<&Interrupt>) -> RunResult<Table3Row> {
+        run_table3(self, tracing, interrupt).map_err(classify_mesh)
+    }
+}
 
 /// One Table III result row, serialized to `results/table3.json` (direct
 /// run) or `results/batch/table3.json` (supervised run) — the field set and
@@ -786,33 +487,6 @@ pub struct Table3Row {
     pub paper_multiplier_tp1: f64,
     /// The paper's Table III multiplier at `t_p = 4`.
     pub paper_multiplier_tp4: f64,
-}
-
-/// Simulate the mesh transpose writeback at `t_p`, optionally instrumented
-/// and optionally under an interrupt (cancellation surfaces as
-/// [`MeshError::Cancelled`]).
-pub fn mesh_transpose_cycles(
-    cfg: &Table3Spec,
-    t_p: u64,
-    tracing: bool,
-    interrupt: Option<&Interrupt>,
-) -> Result<(u64, Option<Registry>), MeshError> {
-    let mesh_cfg = MeshConfig::table3(cfg.procs, t_p).with_threads(cfg.threads);
-    let mut mesh = load_transpose(mesh_cfg, cfg.procs, cfg.row_len);
-    if tracing {
-        mesh.enable_telemetry();
-    }
-    if let Some(intr) = interrupt {
-        mesh.set_interrupt(intr.clone());
-    }
-    let res = mesh.run()?;
-    let s = res.memif_stats[0];
-    assert_eq!(
-        s.elements as usize,
-        cfg.procs * cfg.row_len,
-        "lost elements"
-    );
-    Ok((res.cycles, mesh.take_telemetry()))
 }
 
 /// Run the complete Table III workload: the PSCAN closed form plus the two
@@ -843,9 +517,20 @@ pub fn run_table3(
                 "simulating mesh transpose (P = {}, N = {}, t_p = {t_p})...",
                 cfg.procs, cfg.row_len
             );
+            let mesh_cfg = MeshConfig::table3(cfg.procs, t_p).with_threads(cfg.threads);
+            let mut mesh = load_transpose(mesh_cfg, cfg.procs, cfg.row_len);
+            if let Some(intr) = interrupt {
+                mesh.set_interrupt(intr.clone());
+            }
             // Trace only the t_p = 1 run: one fully-instrumented mesh is
             // what the trace viewer wants, not two interleaved ones.
-            mesh_transpose_cycles(cfg, t_p, tracing && t_p == 1, interrupt)
+            if tracing && t_p == 1 {
+                mesh.enable_telemetry();
+            }
+            let res = mesh.run()?;
+            let elements = res.memif_stats[0].elements as usize;
+            assert_eq!(elements, cfg.procs * cfg.row_len, "lost elements");
+            Ok((res.cycles, mesh.take_telemetry()))
         })
         .collect();
     let mut cycles = Vec::new();
@@ -875,6 +560,76 @@ pub fn run_table3(
 // perf_mesh family
 // ---------------------------------------------------------------------------
 
+/// One mesh-transpose performance point, reduced to deterministic fields.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct PerfMeshSpec {
+    /// Mesh processor count (a perfect square).
+    pub procs: usize,
+    /// Samples per processor row.
+    pub row_len: usize,
+    /// Routing policy: `"MinimalAdaptive"` or `"Xy"`.
+    pub policy: String,
+    /// Memory port service time `t_p`.
+    pub t_p: u64,
+    /// Worker threads (bit-identical results for any value).
+    pub threads: usize,
+}
+
+/// Largest `t_p` `perf_mesh` accepts (the paper runs 1 and 4).
+const MAX_T_P: usize = 1 << 10;
+
+impl Family for PerfMeshSpec {
+    const NAME: &'static str = "perf_mesh";
+    const VARIANT: fn(Self) -> JobSpec = JobSpec::PerfMesh;
+    type Rows = PerfMeshRow;
+
+    /// Quick: the 256 × 256 transpose. Paper: the 2²⁰-element one. Both
+    /// minimal adaptive at `t_p = 1`.
+    fn preset(quick: bool) -> Self {
+        let side = if quick { 256 } else { 1024 };
+        PerfMeshSpec {
+            procs: side,
+            row_len: side,
+            policy: "MinimalAdaptive".to_string(),
+            t_p: 1,
+            threads: 1,
+        }
+    }
+
+    fn set_fields(&mut self, v: &Value) -> Result<(), String> {
+        set(v, "procs", &mut self.procs)?;
+        set(v, "row_len", &mut self.row_len)?;
+        set(v, "threads", &mut self.threads)?;
+        set(v, "t_p", &mut self.t_p)?;
+        set(v, "policy", &mut self.policy)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        mesh_geometry(self.procs, self.row_len, self.threads)?;
+        at_most("t_p", usize::try_from(self.t_p).ok(), MAX_T_P)?;
+        parse_routing_policy(&self.policy).map(|_| ())
+    }
+
+    fn run(&self, _tracing: bool, interrupt: Option<&Interrupt>) -> RunResult<PerfMeshRow> {
+        let policy =
+            parse_routing_policy(&self.policy).map_err(|detail| WorkError::Fatal { detail })?;
+        let (procs, row_len, t_p) = (self.procs, self.row_len, self.t_p);
+        let (res, _) = perf_mesh_point(procs, row_len, policy, t_p, self.threads, interrupt)
+            .map_err(classify_mesh)?;
+        let row = PerfMeshRow {
+            procs,
+            row_len,
+            elements: procs * row_len,
+            policy: self.policy.clone(),
+            t_p,
+            threads: self.threads,
+            cycles: res.cycles,
+            flit_moves: res.energy.router_traversals,
+        };
+        Ok((row, Vec::new()))
+    }
+}
+
 /// Deterministic witness of one mesh performance point.
 #[derive(Debug, Clone, Serialize)]
 pub struct PerfMeshRow {
@@ -896,21 +651,10 @@ pub struct PerfMeshRow {
     pub flit_moves: u64,
 }
 
-/// Measured core of one `perf_mesh` point: deterministic witness plus the
-/// wall-clock of the `run()` call (construction excluded, matching the
-/// `perf_mesh` bin's historical timing window).
-#[derive(Debug, Clone, Copy)]
-pub struct MeshPerfPoint {
-    /// Simulated completion cycles (bit-identical for any thread count).
-    pub cycles: u64,
-    /// Router traversals.
-    pub flit_moves: u64,
-    /// Wall-clock seconds of the simulation itself.
-    pub wall_s: f64,
-}
-
-/// Run one mesh transpose and report its deterministic witness and wall
-/// time. Shared by the `perf_mesh` bin and the `perf_mesh` job family.
+/// Run one mesh transpose: its result and the wall-clock seconds of the
+/// `run()` call (construction excluded, the `perf_mesh` bin's historical
+/// timing window). Shared by the `perf_mesh` bin and the `perf_mesh` job
+/// family.
 pub fn perf_mesh_point(
     procs: usize,
     row_len: usize,
@@ -918,7 +662,7 @@ pub fn perf_mesh_point(
     t_p: u64,
     threads: usize,
     interrupt: Option<&Interrupt>,
-) -> Result<MeshPerfPoint, MeshError> {
+) -> Result<(MeshRunResult, f64), MeshError> {
     let cfg = MeshConfig::table3(procs, t_p)
         .with_policy(policy)
         .with_threads(threads);
@@ -928,17 +672,99 @@ pub fn perf_mesh_point(
     }
     let t0 = std::time::Instant::now();
     let res = mesh.run()?;
-    let wall_s = t0.elapsed().as_secs_f64();
-    Ok(MeshPerfPoint {
-        cycles: res.cycles,
-        flit_moves: res.energy.router_traversals,
-        wall_s,
-    })
+    Ok((res, t0.elapsed().as_secs_f64()))
 }
 
 // ---------------------------------------------------------------------------
 // collectives family
 // ---------------------------------------------------------------------------
+
+/// The collective-traffic comparison: all three collectives on both
+/// fabrics over one mesh/torus geometry.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct CollectivesSpec {
+    /// Mesh width (columns).
+    pub width: usize,
+    /// Mesh height (rows).
+    pub height: usize,
+    /// Wrap the mesh edges into a torus.
+    pub torus: bool,
+    /// Payload words per node per block.
+    pub words: usize,
+    /// Mesh worker threads (bit-identical results for any value).
+    pub threads: usize,
+}
+
+/// Largest block `collectives` accepts: 16× the paper's 64 words.
+const MAX_COLLECTIVE_WORDS: usize = 1 << 10;
+/// Largest SCA head-node DRAM `collectives` accepts: 16× the paper
+/// preset's 256² × 64 words.
+const MAX_SCA_DRAM_WORDS: usize = 1 << 26;
+
+impl CollectivesSpec {
+    /// The mesh topology this spec describes (memory interface in the
+    /// single corner, as in the Table III runs).
+    pub fn topology(&self) -> Topology {
+        Topology::rect(self.width, self.height, MemifPlacement::SingleCorner).with_torus(self.torus)
+    }
+
+    /// Head-node DRAM words the SCA machine needs, a block from every
+    /// processor to every processor; `None` on overflow.
+    fn sca_dram_words(&self) -> Option<usize> {
+        let procs = self.width.checked_mul(self.height)?;
+        procs.checked_mul(procs)?.checked_mul(self.words)
+    }
+}
+
+impl Family for CollectivesSpec {
+    const NAME: &'static str = "collectives";
+    const VARIANT: fn(Self) -> JobSpec = JobSpec::Collectives;
+    type Rows = Vec<CollectiveRow>;
+
+    /// Quick: a 4×4 mesh with 4-word blocks. Paper: 16×16 with 64-word
+    /// blocks.
+    fn preset(quick: bool) -> Self {
+        let (side, words) = if quick { (4, 4) } else { (16, 64) };
+        CollectivesSpec {
+            width: side,
+            height: side,
+            torus: false,
+            words,
+            threads: 1,
+        }
+    }
+
+    fn set_fields(&mut self, v: &Value) -> Result<(), String> {
+        set(v, "width", &mut self.width)?;
+        set(v, "height", &mut self.height)?;
+        set(v, "words", &mut self.words)?;
+        set(v, "threads", &mut self.threads)?;
+        set(v, "torus", &mut self.torus)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.width < 2 || self.height < 2 {
+            return Err(format!(
+                "width and height must each be at least 2 (a corner memif \
+                 must leave collective participants), got {}x{}",
+                self.width, self.height
+            ));
+        }
+        if self.words == 0 {
+            return Err("words must be at least 1".to_string());
+        }
+        if self.threads == 0 {
+            return Err("threads must be at least 1".to_string());
+        }
+        at_most("words", Some(self.words), MAX_COLLECTIVE_WORDS)?;
+        let dram = self.sca_dram_words();
+        at_most("(width × height)² × words", dram, MAX_SCA_DRAM_WORDS)
+    }
+
+    fn run(&self, tracing: bool, interrupt: Option<&Interrupt>) -> RunResult<Vec<CollectiveRow>> {
+        run_collectives(self, tracing, interrupt)
+    }
+}
 
 /// One collective-traffic result row (field order is the
 /// `results/collectives.json` byte contract). `cycles` is the fabric's
@@ -971,15 +797,11 @@ pub fn collective_mesh_row(
     collective: Collective,
     telemetry: Option<&Registry>,
 ) -> Result<CollectiveRow, MeshError> {
-    let cfg = MeshConfig {
-        topology: spec.topology(),
-        t_r: 1,
-        policy: RoutingPolicy::Xy,
-        memif: Default::default(),
-        buffer_depth: 2,
-        max_cycles: 1 << 30,
-        threads: spec.threads,
-    };
+    let cfg = MeshConfig::paper_default()
+        .with_topology(spec.topology())
+        .with_policy(RoutingPolicy::Xy)
+        .with_max_cycles(1 << 30)
+        .with_threads(spec.threads);
     let res = run_mesh_collective(collective, cfg, spec.words, telemetry)?;
     Ok(CollectiveRow {
         collective: collective.label().to_string(),
@@ -995,13 +817,19 @@ pub fn collective_mesh_row(
 
 /// Run one collective on the photonic SCA machine sized to `spec` (every
 /// `width × height` processor participates; the head node hosts memory).
+///
+/// # Panics
+/// If the machine's DRAM size overflows `usize`, which no spec that passes
+/// [`Family::validate`] does.
 pub fn collective_sca_row(
     spec: &CollectivesSpec,
     collective: Collective,
     tracing: bool,
 ) -> Result<(CollectiveRow, Option<Registry>), MachineError> {
     let procs = spec.width * spec.height;
-    let dram_words = procs * procs * spec.words;
+    let dram_words = spec
+        .sca_dram_words()
+        .expect("SCA DRAM size overflows usize; validate the spec first");
     let mut machine = Machine::new(MachineConfig::paper_default(procs, dram_words));
     if tracing {
         machine.enable_telemetry();
@@ -1033,11 +861,7 @@ pub fn run_collectives(
     let mesh_reg = tracing.then(Registry::new);
     let mut intr = interrupt.cloned();
     for collective in Collective::ALL {
-        if let Some(cause) = intr.as_mut().and_then(|i| i.check(rows.len() as u64)) {
-            return Err(WorkError::Cancelled {
-                detail: format!("collectives cancelled after {} rows: {cause:?}", rows.len()),
-            });
-        }
+        poll_between_rows(&mut intr, CollectivesSpec::NAME, rows.len())?;
         rows.push(collective_mesh_row(spec, collective, mesh_reg.as_ref()).map_err(classify_mesh)?);
         let (row, reg) = collective_sca_row(spec, collective, tracing).map_err(classify_machine)?;
         rows.push(row);
@@ -1050,6 +874,99 @@ pub fn run_collectives(
 // ---------------------------------------------------------------------------
 // ablate_faults family
 // ---------------------------------------------------------------------------
+
+/// The fault-injection degradation sweep over both fabrics.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct AblateFaultsSpec {
+    /// Word/flit error probabilities to sweep, each in `[0, 1)`.
+    pub rates: Vec<f64>,
+    /// Mesh processor count for the transpose (a perfect square).
+    pub procs: usize,
+    /// Samples per processor row.
+    pub row_len: usize,
+    /// SCA writeback bursts on the photonic machine.
+    pub gathers: usize,
+    /// Mesh worker threads.
+    pub threads: usize,
+}
+
+/// Most SCA writeback bursts `ablate_faults` accepts: 64× the paper's 16.
+const MAX_GATHERS: usize = 1 << 10;
+
+impl Family for AblateFaultsSpec {
+    const NAME: &'static str = "ablate_faults";
+    const VARIANT: fn(Self) -> JobSpec = JobSpec::AblateFaults;
+    type Rows = Vec<FaultPoint>;
+
+    /// The configurations the `ablate_faults` bin runs. Quick: a 16 × 16
+    /// transpose and 4 bursts. Paper: 64 × 64 and 16 bursts.
+    fn preset(quick: bool) -> Self {
+        let (side, gathers) = if quick { (16, 4) } else { (64, 16) };
+        AblateFaultsSpec {
+            rates: FAULT_RATES.to_vec(),
+            procs: side,
+            row_len: side,
+            gathers,
+            threads: 1,
+        }
+    }
+
+    fn set_fields(&mut self, v: &Value) -> Result<(), String> {
+        set(v, "procs", &mut self.procs)?;
+        set(v, "row_len", &mut self.row_len)?;
+        set(v, "gathers", &mut self.gathers)?;
+        set(v, "threads", &mut self.threads)?;
+        set(v, "rates", &mut self.rates)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        mesh_geometry(self.procs, self.row_len, self.threads)?;
+        if self.gathers == 0 {
+            return Err("gathers must be at least 1".to_string());
+        }
+        at_most("gathers", Some(self.gathers), MAX_GATHERS)?;
+        if self.rates.is_empty() {
+            return Err("rates must be non-empty".to_string());
+        }
+        for &r in &self.rates {
+            if !r.is_finite() || !(0.0..1.0).contains(&r) {
+                return Err(format!("rates must be finite in [0, 1), got {r}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Every rate, both fabrics, in parallel across rates (order kept).
+    fn run(&self, _tracing: bool, interrupt: Option<&Interrupt>) -> RunResult<Vec<FaultPoint>> {
+        let points = self
+            .rates
+            .par_iter()
+            .map(|&rate| {
+                eprintln!("rate = {rate:.0e}...");
+                let (mesh_cycles, mesh_energy_uj, ms) =
+                    mesh_fault_point(rate, self.procs, self.row_len, self.threads, interrupt)
+                        .map_err(classify_mesh)?;
+                let (pscan_bus_slots, pscan_retries, pscan_corrupted_words, pscan_giveups) =
+                    machine_fault_point(rate, self.gathers, interrupt).map_err(classify_machine)?;
+                Ok(FaultPoint {
+                    rate,
+                    mesh_cycles,
+                    mesh_energy_uj,
+                    mesh_corrupted_flits: ms.corrupted_flits,
+                    mesh_retransmits: ms.retransmits,
+                    mesh_link_down_events: ms.link_down_events,
+                    mesh_dropped_elements: ms.dropped_elements,
+                    pscan_bus_slots,
+                    pscan_retries,
+                    pscan_corrupted_words,
+                    pscan_giveups,
+                    total_retries: ms.retransmits + pscan_retries,
+                })
+            })
+            .collect::<Result<_, WorkError>>()?;
+        Ok((points, Vec::new()))
+    }
+}
 
 /// Word/flit error probabilities the `ablate_faults` bin sweeps. Spacing is
 /// ≥ 2× so the retry counts separate cleanly under the fixed seeds.
@@ -1087,6 +1004,18 @@ pub struct FaultPoint {
     pub total_retries: u64,
 }
 
+/// The mesh fault model at error probability `rate`: transient flit
+/// corruption plus link outages at a tenth of that rate.
+fn mesh_faults(rate: f64) -> MeshFaultConfig {
+    MeshFaultConfig {
+        seed: 0xFA_u64,
+        corrupt_rate: rate,
+        link_down_rate: rate / 10.0,
+        max_retransmits: 64,
+        ..Default::default()
+    }
+}
+
 /// Mesh half of one sweep point: the Table III transpose under transient
 /// flit corruption plus occasional link outages.
 pub fn mesh_fault_point(
@@ -1101,13 +1030,7 @@ pub fn mesh_fault_point(
     if let Some(intr) = interrupt {
         mesh.set_interrupt(intr.clone());
     }
-    mesh.enable_faults(MeshFaultConfig {
-        seed: 0xFA_u64,
-        corrupt_rate: rate,
-        link_down_rate: rate / 10.0,
-        max_retransmits: 64,
-        ..Default::default()
-    });
+    mesh.enable_faults(mesh_faults(rate));
     let res = mesh.run()?;
     let energy_uj = OrionParams::default().total_j(&res.energy, procs) * 1e6;
     Ok((res.cycles, energy_uj, res.faults.expect("layer attached")))
@@ -1150,42 +1073,115 @@ pub fn machine_fault_point(
     Ok((bus_slots, retries, stats.injected, stats.giveups))
 }
 
-/// The full degradation sweep: every rate in the spec, both fabrics, in
-/// parallel across rates (order preserved).
-pub fn run_ablate_faults(
-    spec: &AblateFaultsSpec,
-    interrupt: Option<&Interrupt>,
-) -> Result<Vec<FaultPoint>, WorkError> {
-    spec.rates
-        .par_iter()
-        .map(|&rate| {
-            eprintln!("rate = {rate:.0e}...");
-            let (mesh_cycles, mesh_energy_uj, ms) =
-                mesh_fault_point(rate, spec.procs, spec.row_len, spec.threads, interrupt)
-                    .map_err(classify_mesh)?;
-            let (pscan_bus_slots, pscan_retries, pscan_corrupted_words, pscan_giveups) =
-                machine_fault_point(rate, spec.gathers, interrupt).map_err(classify_machine)?;
-            Ok(FaultPoint {
-                rate,
-                mesh_cycles,
-                mesh_energy_uj,
-                mesh_corrupted_flits: ms.corrupted_flits,
-                mesh_retransmits: ms.retransmits,
-                mesh_link_down_events: ms.link_down_events,
-                mesh_dropped_elements: ms.dropped_elements,
-                pscan_bus_slots,
-                pscan_retries,
-                pscan_corrupted_words,
-                pscan_giveups,
-                total_retries: ms.retransmits + pscan_retries,
-            })
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // crosscheck_models family
 // ---------------------------------------------------------------------------
+
+/// The Eq. 11/14 conformance check: the overlapped Model II machine vs the
+/// §V closed forms, at a grid of block counts.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct CrosscheckSpec {
+    /// Processor count.
+    pub procs: usize,
+    /// Samples per row.
+    pub n: usize,
+    /// Blocks-per-row values to check.
+    pub ks: Vec<usize>,
+}
+
+/// Largest signal `crosscheck_models` accepts, `procs × n` samples: 16×
+/// the paper grid's 16 × 1024.
+const MAX_MODEL2_SAMPLES: usize = 1 << 18;
+
+impl Family for CrosscheckSpec {
+    const NAME: &'static str = "crosscheck_models";
+    const VARIANT: fn(Self) -> JobSpec = JobSpec::CrosscheckModels;
+    type Rows = Vec<CrosscheckRow>;
+
+    /// The grids the `crosscheck_models` bin uses for its check 1.
+    fn preset(quick: bool) -> Self {
+        if quick {
+            CrosscheckSpec {
+                procs: 8,
+                n: 64,
+                ks: vec![1, 4, 8],
+            }
+        } else {
+            CrosscheckSpec {
+                procs: 16,
+                n: 1024,
+                ks: vec![1, 8, 64],
+            }
+        }
+    }
+
+    fn set_fields(&mut self, v: &Value) -> Result<(), String> {
+        set(v, "procs", &mut self.procs)?;
+        set(v, "n", &mut self.n)?;
+        set(v, "ks", &mut self.ks)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.procs == 0 || self.n == 0 {
+            return Err("procs and n must be positive".to_string());
+        }
+        let samples = self.procs.checked_mul(self.n);
+        at_most("procs × n", samples, MAX_MODEL2_SAMPLES)?;
+        if !self.n.is_power_of_two() {
+            return Err(format!("n must be a power of two, got {}", self.n));
+        }
+        if self.ks.is_empty() {
+            return Err("ks must be non-empty".to_string());
+        }
+        for &k in &self.ks {
+            if k == 0 || k > self.n || !k.is_power_of_two() {
+                return Err(format!(
+                    "each k must be a power of two in [1, n={}], got {k}",
+                    self.n
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Both checks at every `k`, polled for cancellation between points
+    /// (the machine runs are short; per-point granularity keeps
+    /// cancellation prompt without threading an interrupt through
+    /// `run_model2_rows`).
+    fn run(&self, _tracing: bool, interrupt: Option<&Interrupt>) -> RunResult<Vec<CrosscheckRow>> {
+        let signal = crosscheck_signal_rows(self.procs, self.n);
+        let mut intr = interrupt.cloned();
+        let mut rows = Vec::new();
+        for &k in &self.ks {
+            poll_between_rows(&mut intr, Self::NAME, rows.len())?;
+            let point = format!("P={},N={},k={k}", self.procs, self.n);
+            eprintln!("crosscheck: eq11 machine at {point} ...");
+            let run = psync::run_model2_rows(self.procs, self.n, k, &signal);
+            let pred = predict_model2(self.procs, self.n, k, run.serialized_seconds);
+            for (check, measured, predicted) in [
+                (
+                    "eq11_total_time",
+                    run.overlapped_seconds,
+                    pred.overlapped_seconds,
+                ),
+                ("eq14_efficiency", run.efficiency, pred.efficiency),
+            ] {
+                let rel_err = rel_err(measured, predicted);
+                rows.push(CrosscheckRow {
+                    check: check.to_string(),
+                    point: point.clone(),
+                    measured,
+                    predicted,
+                    rel_err,
+                    tol: TOL_ALGEBRAIC,
+                    pass: rel_err <= TOL_ALGEBRAIC,
+                    witness: witness(measured),
+                });
+            }
+        }
+        Ok((rows, Vec::new()))
+    }
+}
 
 /// One Eq. 11/14 conformance row (deterministic: no wall-clock fields, so
 /// repeated runs produce identical bytes the cache can vouch for).
@@ -1226,58 +1222,66 @@ pub fn crosscheck_signal_rows(procs: usize, n: usize) -> Vec<Vec<Complex64>> {
         .collect()
 }
 
-/// The Eq. 11/14 conformance checks at every `k` in the spec, polled for
-/// cancellation between points (the machine runs are short; per-point
-/// granularity keeps cancellation prompt without threading an interrupt
-/// through `run_model2_rows`).
-pub fn run_crosscheck_model2(
-    spec: &CrosscheckSpec,
-    interrupt: Option<&Interrupt>,
-) -> Result<Vec<CrosscheckRow>, WorkError> {
-    use crate::crosscheck::{predict_model2, witness, TOL_ALGEBRAIC};
-    let rows = crosscheck_signal_rows(spec.procs, spec.n);
-    let mut intr = interrupt.cloned();
-    let mut out = Vec::new();
-    for (done, &k) in spec.ks.iter().enumerate() {
-        if let Some(cause) = intr.as_mut().and_then(|i| i.check(done as u64)) {
-            return Err(WorkError::Cancelled {
-                detail: format!("crosscheck Cancelled after {done} point(s) ({cause})"),
-            });
-        }
-        let point = format!("P={},N={},k={k}", spec.procs, spec.n);
-        eprintln!("crosscheck: eq11 machine at {point} ...");
-        let run = psync::run_model2_rows(spec.procs, spec.n, k, &rows);
-        let pred = predict_model2(spec.procs, spec.n, k, run.serialized_seconds);
-        let mut push = |check: &str, measured: f64, predicted: f64| {
-            let rel_err = if predicted == 0.0 {
-                measured.abs()
-            } else {
-                (measured - predicted).abs() / predicted.abs()
-            };
-            out.push(CrosscheckRow {
-                check: check.to_string(),
-                point: point.clone(),
-                measured,
-                predicted,
-                rel_err,
-                tol: TOL_ALGEBRAIC,
-                pass: rel_err <= TOL_ALGEBRAIC,
-                witness: witness(measured),
-            });
-        };
-        push(
-            "eq11_total_time",
-            run.overlapped_seconds,
-            pred.overlapped_seconds,
-        );
-        push("eq14_efficiency", run.efficiency, pred.efficiency);
-    }
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------------
 // full_matrix family
 // ---------------------------------------------------------------------------
+
+/// The 21-row ablation matrix under the multi-fidelity engine.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct FullMatrixSpec {
+    /// Point sizing: `"quick"` (per-PR) or `"paper"` (full scale).
+    pub scale: String,
+    /// Fidelity policy, in [`FidelityPolicy::parse`] spelling
+    /// (`analytic` / `cycle_accurate` / `auto` / `auto:<rel_err>`). Part
+    /// of the canonical JSON, so runs at different fidelities can never
+    /// share a cache entry.
+    pub fidelity: String,
+    /// Also run the all-cycle-accurate reference pass and attach
+    /// per-row disagreement columns.
+    pub reference: bool,
+}
+
+impl Family for FullMatrixSpec {
+    const NAME: &'static str = "full_matrix";
+    const VARIANT: fn(Self) -> JobSpec = JobSpec::FullMatrix;
+    type Rows = FullMatrixResult;
+
+    /// Auto fidelity at either scale. Quick runs the cycle-accurate
+    /// reference pass (cheap at this scale, and it lets CI assert every
+    /// analytic row sits inside its envelope); paper does not — the point
+    /// is that full scale no longer costs a full simulation sweep.
+    fn preset(quick: bool) -> Self {
+        FullMatrixSpec {
+            scale: if quick { "quick" } else { "paper" }.to_string(),
+            fidelity: "auto".to_string(),
+            reference: quick,
+        }
+    }
+
+    fn set_fields(&mut self, v: &Value) -> Result<(), String> {
+        set(v, "fidelity", &mut self.fidelity)?;
+        set(v, "reference", &mut self.reference)?;
+        set(v, "scale", &mut self.scale)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.scale != "quick" && self.scale != "paper" {
+            return Err(format!(
+                "scale must be \"quick\" or \"paper\", got {:?}",
+                self.scale
+            ));
+        }
+        FidelityPolicy::parse(&self.fidelity)
+            .map(|_| ())
+            .map_err(|e| format!("fidelity: {e}"))
+    }
+
+    fn run(&self, tracing: bool, interrupt: Option<&Interrupt>) -> RunResult<FullMatrixResult> {
+        let reg = tracing.then(Registry::new);
+        let (result, _timing) = run_full_matrix(self, interrupt, reg.as_ref())?;
+        Ok((result, reg.into_iter().collect()))
+    }
+}
 
 /// Static definition of one matrix row: which model family, at which
 /// operating point, under which delivery policy and fault rate.
@@ -1493,62 +1497,22 @@ fn cycle_accurate_value(
             }
         }
         "mesh_eq21" => {
-            let policy = match pt.policy {
-                "Xy" => RoutingPolicy::Xy,
-                "MinimalAdaptive" => RoutingPolicy::MinimalAdaptive,
-                other => {
-                    return Err(WorkError::Fatal {
-                        detail: format!("unknown mesh policy {other:?}"),
-                    })
-                }
-            };
-            let cfg = MeshConfig {
-                topology: Topology::square(pt.p as usize, MemifPlacement::SingleCorner),
-                t_r: 1,
-                policy,
-                memif: Default::default(),
-                buffer_depth: 2,
-                max_cycles: 1 << 30,
-                threads: 1,
-            };
-            let mut mesh = load_scatter(cfg, pt.n as usize, pt.k as usize);
-            if pt.fault_rate > 0.0 {
-                mesh.enable_faults(MeshFaultConfig {
-                    seed: 0xFA_u64,
-                    corrupt_rate: pt.fault_rate,
-                    link_down_rate: pt.fault_rate / 10.0,
-                    max_retransmits: 64,
-                    ..Default::default()
-                });
-            }
-            if let Some(intr) = interrupt {
-                mesh.set_interrupt(intr.clone());
-            }
-            let res = mesh.run().map_err(classify_mesh)?;
-            Ok((res.cycles as f64, "cycles"))
+            let policy =
+                parse_routing_policy(pt.policy).map_err(|detail| WorkError::Fatal { detail })?;
+            let faults = (pt.fault_rate > 0.0).then(|| mesh_faults(pt.fault_rate));
+            let cycles =
+                eq21_scatter_cycles(pt.p as usize, pt.n as usize, policy, faults, interrupt)
+                    .map_err(classify_mesh)?;
+            Ok((cycles as f64, "cycles"))
         }
         "table3_pscan" => {
-            let (procs, row_len) = (pt.p as usize, pt.n as usize);
-            let pscan = Pscan::new(PscanConfig::paper_default().with_nodes(procs));
-            let spec = GatherSpec {
-                slot_source: (0..procs * row_len).map(|k| k % procs).collect(),
-            };
-            let data: Vec<Vec<u64>> = (0..procs).map(|p| vec![p as u64; row_len]).collect();
-            let out = pscan.gather(&spec, &data).map_err(|e| WorkError::Fatal {
-                detail: format!("pscan gather: {e}"),
-            })?;
             // The measured writeback: the SCA's slot span plus one header
             // slot per DRAM row — the same composition the conformance
             // oracle holds equal to Eqs. 23/24.
-            let span_slots =
-                out.last_arrival.since(out.first_arrival).as_ps() / pscan.slot().as_ps() + 1;
-            let t3 = Table3Params {
-                n: pt.n,
-                p: pt.p,
-                ..Default::default()
-            };
-            let headers = ((procs * row_len) as u64).div_ceil(t3.s_r / t3.s_b);
-            Ok(((span_slots + headers) as f64, "cycles"))
+            let wb = sca_writeback(pt.p as usize, pt.n as usize).map_err(|e| WorkError::Fatal {
+                detail: format!("pscan gather: {e}"),
+            })?;
+            Ok(((wb.span_slots() + wb.header_slots) as f64, "cycles"))
         }
         other => Err(WorkError::Fatal {
             detail: format!("no fabric for family {other:?}"),
@@ -1571,9 +1535,8 @@ pub fn run_full_matrix(
     interrupt: Option<&Interrupt>,
     telemetry: Option<&Registry>,
 ) -> Result<(FullMatrixResult, FullMatrixTiming), WorkError> {
-    let policy = spec
-        .policy()
-        .map_err(|detail| WorkError::Fatal { detail })?;
+    let policy =
+        FidelityPolicy::parse(&spec.fidelity).map_err(|detail| WorkError::Fatal { detail })?;
     let registry = ValidationRegistry::builtin();
     let quick = spec.scale == "quick";
     let points = matrix_points(quick);
@@ -1581,12 +1544,8 @@ pub fn run_full_matrix(
     let mut intr = interrupt.cloned();
     let mut rows = Vec::with_capacity(points.len());
     let mut timing = FullMatrixTiming::default();
-    for (done, pt) in points.iter().enumerate() {
-        if let Some(cause) = intr.as_mut().and_then(|i| i.check(done as u64)) {
-            return Err(WorkError::Cancelled {
-                detail: format!("full_matrix Cancelled after {done} row(s) ({cause})"),
-            });
-        }
+    for pt in &points {
+        poll_between_rows(&mut intr, FullMatrixSpec::NAME, rows.len())?;
         let decision = decide(policy, &pt.point_config(), &registry);
         if let Some(reg) = telemetry {
             record_decision(reg, &decision);
@@ -1622,11 +1581,7 @@ pub fn run_full_matrix(
                 (value, row_wall)
             };
             timing.reference_wall_s += ref_wall;
-            let rel = if ref_value == 0.0 {
-                (value - ref_value).abs()
-            } else {
-                (value - ref_value).abs() / ref_value.abs()
-            };
+            let rel = rel_err(value, ref_value);
             let inside = decision.envelope_rel_err.map(|env| rel <= env + 1e-12);
             (Some(ref_value), Some(rel), inside)
         } else {
@@ -1939,7 +1894,7 @@ mod tests {
 
     #[test]
     fn presets_cover_every_family() {
-        for family in JobSpec::FAMILIES {
+        for family in JobSpec::families() {
             for quick in [true, false] {
                 let spec = JobSpec::preset(family, quick).expect("preset exists");
                 assert_eq!(spec.family(), family);
@@ -1966,7 +1921,7 @@ mod tests {
             })
         );
         let spec = parse(r#"{"family":"table3","preset":"paper"}"#).unwrap();
-        assert_eq!(spec, JobSpec::Table3(Table3Spec::paper()));
+        assert_eq!(spec, JobSpec::Table3(Table3Spec::preset(false)));
     }
 
     #[test]
@@ -1984,7 +1939,7 @@ mod tests {
             .unwrap();
         match &pm {
             JobSpec::PerfMesh(s) => {
-                assert_eq!(s.routing_policy().unwrap(), RoutingPolicy::Xy);
+                assert_eq!(parse_routing_policy(&s.policy).unwrap(), RoutingPolicy::Xy);
                 assert_eq!(s.t_p, 4);
             }
             other => panic!("expected PerfMesh, got {other:?}"),
@@ -2039,9 +1994,84 @@ mod tests {
         assert!(JobSpec::from_value(&Value::Str("x".into())).is_err());
     }
 
+    /// Specs whose sizes overflowed `usize` arithmetic in validation, or
+    /// passed it while asking for more memory than any host has. Each must
+    /// be a `bad_spec`-style error naming a field, never a panic. Only
+    /// parsed, never run.
+    #[test]
+    fn oversized_specs_are_named_errors_not_panics() {
+        for (body, field) in [
+            (
+                r#"{"family":"perf_mesh","procs":18446744073709551615,"row_len":1}"#,
+                "procs",
+            ),
+            (
+                r#"{"family":"table3","procs":4611686018427387904,"row_len":1}"#,
+                "procs",
+            ),
+            (
+                r#"{"family":"table3","procs":1024,"row_len":18446744073709551615}"#,
+                "row_len",
+            ),
+            (
+                r#"{"family":"perf_mesh","t_p":18446744073709551615}"#,
+                "t_p",
+            ),
+            (
+                r#"{"family":"ablate_faults","gathers":18446744073709551615}"#,
+                "gathers",
+            ),
+            (
+                r#"{"family":"crosscheck_models","procs":4294967296,"n":4294967296,"ks":[1]}"#,
+                "procs",
+            ),
+            (
+                r#"{"family":"collectives","width":65536,"height":65536}"#,
+                "width",
+            ),
+            (
+                r#"{"family":"collectives","words":18446744073709551615}"#,
+                "words",
+            ),
+        ] {
+            let parsed = std::panic::catch_unwind(|| parse(body))
+                .unwrap_or_else(|_| panic!("{body}: validation panicked"));
+            let err = parsed.expect_err(body);
+            assert!(err.contains(field), "{body}: {err:?} lacks {field:?}");
+        }
+    }
+
+    /// Every family's small spec stops with `Cancelled` under a cycle
+    /// bound of 0, and a between-rows poll reports its cause in words.
+    #[test]
+    fn every_family_cancels_with_a_readable_cause() {
+        for body in [
+            r#"{"family":"table3","procs":16,"row_len":8}"#,
+            r#"{"family":"perf_mesh","procs":16,"row_len":4}"#,
+            r#"{"family":"ablate_faults","procs":16,"row_len":8,"gathers":2,"rates":[0.0]}"#,
+            r#"{"family":"crosscheck_models","procs":4,"n":16,"ks":[1,2]}"#,
+            r#"{"family":"full_matrix","reference":false}"#,
+            r#"{"family":"collectives"}"#,
+        ] {
+            let intr = Interrupt::new().with_cycle_bound(0);
+            match parse(body).unwrap().run(false, Some(&intr)) {
+                Err(WorkError::Cancelled { .. }) => {}
+                other => panic!("{body}: expected Cancelled, got {other:?}"),
+            }
+        }
+        let expired = Interrupt::new()
+            .with_deadline(sim_core::cancel::Deadline::after(std::time::Duration::ZERO));
+        match run_collectives(&CollectivesSpec::preset(true), false, Some(&expired)) {
+            Err(WorkError::Cancelled { detail }) => {
+                assert!(detail.contains("deadline exceeded"), "{detail}")
+            }
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+    }
+
     #[test]
     fn collectives_family_runs_both_fabrics_deterministically() {
-        let spec = CollectivesSpec::quick();
+        let spec = CollectivesSpec::preset(true);
         let (rows, regs) = run_collectives(&spec, false, None).expect("quick collectives run");
         assert_eq!(rows.len(), 6, "3 collectives x 2 fabrics");
         assert!(regs.is_empty(), "no tracing requested");
@@ -2108,7 +2138,7 @@ mod tests {
     fn full_matrix_runs_without_reference_and_labels_every_row() {
         let spec = FullMatrixSpec {
             reference: false,
-            ..FullMatrixSpec::quick()
+            ..FullMatrixSpec::preset(true)
         };
         let (result, timing) = run_full_matrix(&spec, None, None).unwrap();
         assert_eq!(result.rows.len(), 21);
@@ -2176,15 +2206,12 @@ mod tests {
 
     #[test]
     fn crosscheck_rows_pass_their_tolerance() {
-        let rows = run_crosscheck_model2(
-            &CrosscheckSpec {
-                procs: 4,
-                n: 16,
-                ks: vec![1, 4],
-            },
-            None,
-        )
-        .unwrap();
+        let spec = CrosscheckSpec {
+            procs: 4,
+            n: 16,
+            ks: vec![1, 4],
+        };
+        let (rows, _) = spec.run(false, None).unwrap();
         assert_eq!(rows.len(), 4, "two checks per k");
         for r in &rows {
             assert!(r.pass, "{}@{}: rel_err {}", r.check, r.point, r.rel_err);

@@ -3,7 +3,7 @@
 //! analytic fast path may answer and how far it may stray when it does.
 
 use bench::fidelity::{decide, FidelityPolicy, PointConfig, ValidationRegistry};
-use bench::jobs::{matrix_points, run_full_matrix, FullMatrixSpec};
+use bench::jobs::{matrix_points, run_full_matrix, Family, FullMatrixSpec};
 
 fn point(family: &str, p: u64, n: u64, fault_rate: f64, policy: &str) -> PointConfig {
     PointConfig {
@@ -116,7 +116,7 @@ fn auto_matrix_agrees_with_full_simulation_within_envelopes() {
     let auto = run_full_matrix(
         &FullMatrixSpec {
             reference: false,
-            ..FullMatrixSpec::quick()
+            ..FullMatrixSpec::preset(true)
         },
         None,
         None,
@@ -126,7 +126,7 @@ fn auto_matrix_agrees_with_full_simulation_within_envelopes() {
         &FullMatrixSpec {
             fidelity: "cycle_accurate".to_string(),
             reference: false,
-            ..FullMatrixSpec::quick()
+            ..FullMatrixSpec::preset(true)
         },
         None,
         None,
