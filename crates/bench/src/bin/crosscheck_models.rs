@@ -31,10 +31,10 @@ use std::time::Instant;
 use analytic::model::{FftParams, ModelIi};
 use analytic::table3::Table3Params;
 use bench::crosscheck::{
-    check, check_exact_u64, eq21_scatter_cycles, failures, predict_model2, sca_writeback, witness,
-    CheckRow, TOL_ALGEBRAIC, TOL_CLOSED_FORM, TOL_EQ21_MESH, TOL_LINE_RATE,
+    check, check_exact_u64, eq21_scatter_cycles, failures, sca_writeback, witness, CheckRow,
+    TOL_CLOSED_FORM, TOL_EQ21_MESH, TOL_LINE_RATE,
 };
-use bench::jobs::{crosscheck_signal_rows, CrosscheckSpec, Family};
+use bench::jobs::{CrosscheckSpec, Family};
 use bench::{f, BenchError, Experiment};
 use emesh::mesh::RoutingPolicy;
 use emesh::workloads::eq21_delivery_cycles;
@@ -42,34 +42,20 @@ use pscan::compiler::GatherSpec;
 use pscan::faults::PscanFaultConfig;
 use pscan::network::{Pscan, PscanConfig};
 
-/// Check 1: Eq. 11/14 vs the overlapped Model II machine, on the
-/// `crosscheck_models` job family's preset grid.
+/// Check 1: Eq. 11/14 vs the overlapped Model II machine, the
+/// `crosscheck_models` job family's rows at its preset grid.
 fn check_eq11_model2(quick: bool, rows_out: &mut Vec<CheckRow>) {
-    let CrosscheckSpec { procs, n, ks } = CrosscheckSpec::preset(quick);
-    let rows = crosscheck_signal_rows(procs, n);
-    for k in ks {
-        let point = format!("P={procs},N={n},k={k}");
-        eprintln!("crosscheck: eq11 machine at {point} ...");
-        let t0 = Instant::now();
-        let run = psync::run_model2_rows(procs, n, k, &rows);
-        let wall = t0.elapsed().as_secs_f64();
-        let pred = predict_model2(procs, n, k, run.serialized_seconds);
+    let rows = CrosscheckSpec::preset(quick)
+        .timed_rows(None)
+        .expect("no interrupt installed");
+    for (r, wall) in rows {
         rows_out.push(check(
-            "eq11_total_time",
-            &point,
-            run.overlapped_seconds,
-            pred.overlapped_seconds,
-            TOL_ALGEBRAIC,
-            witness(run.overlapped_seconds),
-            wall,
-        ));
-        rows_out.push(check(
-            "eq14_efficiency",
-            &point,
-            run.efficiency,
-            pred.efficiency,
-            TOL_ALGEBRAIC,
-            witness(run.efficiency),
+            &r.check,
+            &r.point,
+            r.measured,
+            r.predicted,
+            r.tol,
+            r.witness,
             wall,
         ));
     }

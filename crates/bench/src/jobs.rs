@@ -1144,11 +1144,25 @@ impl Family for CrosscheckSpec {
         Ok(())
     }
 
-    /// Both checks at every `k`, polled for cancellation between points
-    /// (the machine runs are short; per-point granularity keeps
-    /// cancellation prompt without threading an interrupt through
-    /// `run_model2_rows`).
     fn run(&self, _tracing: bool, interrupt: Option<&Interrupt>) -> RunResult<Vec<CrosscheckRow>> {
+        let rows = self.timed_rows(interrupt)?;
+        Ok((rows.into_iter().map(|(row, _)| row).collect(), Vec::new()))
+    }
+}
+
+impl CrosscheckSpec {
+    /// Both checks at every `k`, each row paired with the wall seconds of
+    /// the machine run it checks (the `crosscheck_models` bin rates its
+    /// witness against them). Polled for cancellation between points (the
+    /// machine runs are short; per-point granularity keeps cancellation
+    /// prompt without threading an interrupt through `run_model2_rows`).
+    ///
+    /// # Errors
+    /// [`WorkError::Cancelled`] when `interrupt` fires between points.
+    pub fn timed_rows(
+        &self,
+        interrupt: Option<&Interrupt>,
+    ) -> Result<Vec<(CrosscheckRow, f64)>, WorkError> {
         let signal = crosscheck_signal_rows(self.procs, self.n);
         let mut intr = interrupt.cloned();
         let mut rows = Vec::new();
@@ -1156,7 +1170,9 @@ impl Family for CrosscheckSpec {
             poll_between_rows(&mut intr, Self::NAME, rows.len())?;
             let point = format!("P={},N={},k={k}", self.procs, self.n);
             eprintln!("crosscheck: eq11 machine at {point} ...");
+            let t0 = std::time::Instant::now();
             let run = psync::run_model2_rows(self.procs, self.n, k, &signal);
+            let wall = t0.elapsed().as_secs_f64();
             let pred = predict_model2(self.procs, self.n, k, run.serialized_seconds);
             for (check, measured, predicted) in [
                 (
@@ -1167,7 +1183,7 @@ impl Family for CrosscheckSpec {
                 ("eq14_efficiency", run.efficiency, pred.efficiency),
             ] {
                 let rel_err = rel_err(measured, predicted);
-                rows.push(CrosscheckRow {
+                let row = CrosscheckRow {
                     check: check.to_string(),
                     point: point.clone(),
                     measured,
@@ -1176,10 +1192,11 @@ impl Family for CrosscheckSpec {
                     tol: TOL_ALGEBRAIC,
                     pass: rel_err <= TOL_ALGEBRAIC,
                     witness: witness(measured),
-                });
+                };
+                rows.push((row, wall));
             }
         }
-        Ok((rows, Vec::new()))
+        Ok(rows)
     }
 }
 

@@ -346,11 +346,15 @@ fn handle_connection(stream: UnixStream, state: Arc<ServiceState>) {
                                 writer: Arc::clone(&writer),
                             },
                         );
-                        drop(jobs);
+                        // Still under the jobs lock: the reaper and the
+                        // progress pump reach a job only through this map,
+                        // so neither can write its `result` or `progress`
+                        // ahead of `accepted`. Lock order: jobs, then writer.
                         send(
                             &writer,
                             &event_accepted(id, family, &name, shared.tag.as_deref()),
                         );
+                        drop(jobs);
                     }
                     Err(JobError::QueueFull { retry_after_ms }) => {
                         drop(jobs);
@@ -550,6 +554,10 @@ mod tests {
     use super::*;
     use std::io::{BufRead, BufReader, Write};
 
+    /// Longest a test client waits for one event: a lost event fails the
+    /// test instead of blocking it forever.
+    const READ_TIMEOUT: Duration = Duration::from_secs(60);
+
     fn temp_socket(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("psyncd-test-{}-{tag}.sock", std::process::id()))
     }
@@ -564,6 +572,8 @@ mod tests {
             // The daemon thread needs a moment to bind.
             for _ in 0..200 {
                 if let Ok(s) = UnixStream::connect(path) {
+                    s.set_read_timeout(Some(READ_TIMEOUT))
+                        .expect("set read timeout");
                     let reader = BufReader::new(s.try_clone().expect("clone stream"));
                     return Client { writer: s, reader };
                 }
@@ -679,6 +689,42 @@ mod tests {
             let cache = status.get("cache").expect("cache stats");
             assert_eq!(cache.get("misses").and_then(Value::as_u64), Some(1));
             assert!(cache.get("hits").and_then(Value::as_u64).unwrap_or(0) >= 1);
+        });
+    }
+
+    #[test]
+    fn accepted_precedes_every_result_on_a_cache_hit() {
+        // Every resubmit is a cache hit that finishes at once, racing its
+        // own `accepted` onto the wire. The queue holds them all.
+        const RESUBMITS: usize = 200;
+        let cfg = ServiceConfig {
+            queue_cap: RESUBMITS,
+            ..ServiceConfig::default()
+        };
+        with_daemon("order", cfg, |socket| {
+            let mut c = Client::connect(socket);
+            let submit =
+                r#"{"v":1,"verb":"submit","spec":{"family":"table3","procs":16,"row_len":8}}"#;
+            c.send(submit);
+            c.recv_until(&["result", "error"]);
+            for _ in 0..RESUBMITS {
+                c.send(submit);
+            }
+            let mut accepted = std::collections::HashSet::new();
+            let mut results = 0;
+            while results < RESUBMITS {
+                let ev = c.recv();
+                let id = ev.get("job_id").and_then(Value::as_u64);
+                match ev.get("event").and_then(Value::as_str) {
+                    Some("accepted") => assert!(accepted.insert(id.expect("job id"))),
+                    Some(kind @ ("progress" | "result")) => {
+                        let id = id.expect("job id");
+                        assert!(accepted.contains(&id), "job {id}: {kind} before accepted");
+                        results += usize::from(kind == "result");
+                    }
+                    other => panic!("unexpected event {other:?}: {ev:?}"),
+                }
+            }
         });
     }
 

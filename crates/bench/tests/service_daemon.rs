@@ -10,10 +10,15 @@
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, Output, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use serde::Value;
+
+/// Longest a test waits for one event or one `psync_client` run: a lost
+/// event fails the test instead of blocking it forever.
+const READ_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Daemon under test: spawned `psyncd` on a per-test temp socket, killed
 /// (SIGKILL) on drop unless the test already waited it out.
@@ -51,6 +56,8 @@ impl Daemon {
 
     fn connect(&self) -> Client {
         let s = UnixStream::connect(&self.socket).expect("connect to psyncd");
+        s.set_read_timeout(Some(READ_TIMEOUT))
+            .expect("set read timeout");
         let reader = BufReader::new(s.try_clone().expect("clone stream"));
         Client { writer: s, reader }
     }
@@ -317,6 +324,26 @@ fn sigterm_drains_inflight_work_before_exit() {
     daemon.sigterm_and_wait();
 }
 
+/// Wait for `child`'s output, killing it and failing the test if it takes
+/// longer than `limit`.
+fn output_within(child: Child, limit: Duration) -> Output {
+    let pid = child.id();
+    let (tx, rx) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let _ = tx.send(child.wait_with_output());
+    });
+    let out = rx.recv_timeout(limit);
+    if out.is_err() {
+        // Killing the client ends `wait_with_output`, so the join returns.
+        let _ = Command::new("kill")
+            .args(["-KILL", &pid.to_string()])
+            .status();
+    }
+    waiter.join().expect("waiter thread");
+    out.unwrap_or_else(|_| panic!("psync_client did not finish within {limit:?}"))
+        .expect("psync_client runs")
+}
+
 /// The `psync_client` CLI end-to-end: ping, a family/preset submit, and
 /// exit codes (0 result, 1 daemon error, 2 usage).
 #[test]
@@ -324,11 +351,14 @@ fn psync_client_cli_round_trips() {
     let daemon = Daemon::boot("cli", &["--workers", "2"]);
     let socket = daemon.socket.to_str().expect("utf8 socket path");
     let client = |args: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_psync_client"))
+        let child = Command::new(env!("CARGO_BIN_EXE_psync_client"))
             .args(["--socket", socket])
             .args(args)
-            .output()
-            .expect("psync_client spawns")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("psync_client spawns");
+        output_within(child, READ_TIMEOUT)
     };
 
     let out = client(&["ping"]);

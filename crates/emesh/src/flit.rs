@@ -101,36 +101,32 @@ impl Packet {
     /// Expand into wire flits (with `ready_at` = 0; the mesh stamps it on
     /// injection).
     pub fn flits(&self) -> Vec<Flit> {
+        self.flit_iter().collect()
+    }
+
+    /// The wire flits of [`Packet::flits`], in order, without allocating.
+    pub(crate) fn flit_iter(&self) -> impl ExactSizeIterator<Item = Flit> + '_ {
         let n = self.flit_count();
         assert!(n > 0, "empty packet");
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let kind = match (i, n) {
+        let header = usize::from(self.explicit_header);
+        (0..n).map(move |i| Flit {
+            dest: self.dest,
+            src: 0,
+            payload: if i < header {
+                0
+            } else {
+                self.payload[i - header]
+            },
+            kind: match (i, n) {
                 (0, 1) => FlitKind::HeadTail,
                 (0, _) => FlitKind::Head,
                 (i, n) if i == n - 1 => FlitKind::Tail,
                 _ => FlitKind::Body,
-            };
-            let payload = if self.explicit_header {
-                if i == 0 {
-                    0
-                } else {
-                    self.payload[i - 1]
-                }
-            } else {
-                self.payload[i]
-            };
-            out.push(Flit {
-                dest: self.dest,
-                src: 0,
-                payload,
-                kind,
-                packet: self.id,
-                ready_at: 0,
-                corrupted: false,
-            });
-        }
-        out
+            },
+            packet: self.id,
+            ready_at: 0,
+            corrupted: false,
+        })
     }
 }
 

@@ -17,7 +17,7 @@
 //!
 //! * [`flit`] — flits, packets and their wire format.
 //! * [`topology`] — mesh coordinates and memory-interface placement.
-//! * [`router`] — the five-port wormhole router.
+//! * [`router`] — the five ports of a wormhole router.
 //! * [`mesh`] — the clocked mesh fabric: injection, forwarding, ejection.
 //! * [`memif`] — the memory-interface model with reorder staging + DRAM.
 //! * [`workloads`] — the paper's traffic patterns: transpose gather

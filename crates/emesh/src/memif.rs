@@ -130,6 +130,11 @@ impl MemIf {
         cycle >= self.free_at
     }
 
+    /// First cycle the ejection port can take a flit.
+    pub(crate) fn free_at(&self) -> u64 {
+        self.free_at
+    }
+
     /// Accept one flit at `cycle`. Payload flits carry the element's linear
     /// word address. Tail flits additionally occupy the reorder unit for
     /// `t_p` cycles, during which the port cannot eject.

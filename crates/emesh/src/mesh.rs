@@ -29,18 +29,19 @@
 //! queued for (bit `cycle % WINDOW`), so a bucket holds at most one entry
 //! per router: a wake for router `r` at cycle `c` is dropped when `r` is
 //! already bucketed at `c`. Dropping a later duplicate never moves a
-//! service — the first entry for `(r, c)` services `r`, and `processed_at`
-//! would skip every later one — so the heap scheduler's exact (cycle,
-//! insertion) service order holds, enforced bit-for-bit by the golden
-//! transpose tests. Overflow wakes bypass the mask; `processed_at` skips
-//! their duplicates once they merge into a bucket.
+//! service — the first entry for `(r, c)` services `r`, and the router's
+//! service stamp would skip every later one — so the heap scheduler's
+//! exact (cycle, insertion) service order holds, enforced bit-for-bit by
+//! the golden transpose tests. Overflow wakes bypass the mask; the service
+//! stamp skips their duplicates once they merge into a bucket.
 //!
 //! The service loop itself (`mesh/exec.rs`) is one sequential drain over
-//! plain `&mut` state, with faults, telemetry and latency tracking applied
-//! in place; router port state lives in a structure-of-arrays slab
-//! (`mesh/soa.rs`), and each router's neighbours and coordinates are
-//! looked up in tables built once by [`Mesh::new`]. DESIGN.md §11 records
-//! why there is no parallel executor.
+//! plain `&mut` state, compiled twice from one source: with faults,
+//! telemetry and latency tracking applied in place, and without them when
+//! none is attached. Each router's service state is one cache line
+//! (`mesh/soa.rs`); its neighbours and coordinates sit in a read-only
+//! table built once by [`Mesh::new`]. DESIGN.md §11 records why there is
+//! no parallel executor.
 
 mod exec;
 mod soa;
@@ -55,10 +56,11 @@ use sim_core::telemetry::{Registry, SeriesHistogram};
 
 use crate::energy::EnergyCounters;
 use crate::faults::{FaultLayer, MeshDiagnostic, MeshFaultConfig, MeshFaultStats};
-use crate::flit::{Flit, Packet};
+use crate::flit::Packet;
 use crate::memif::{MemIf, MemifConfig, MemifStats};
-use crate::router::{Port, NUM_PORTS};
+use crate::router::Port;
 use crate::topology::{NodeCoord, Topology};
+use soa::Slot;
 
 /// Routing policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -94,6 +96,9 @@ pub struct MeshConfig {
 }
 
 impl MeshConfig {
+    /// Default input buffer depth in flits (§V-C-2: two).
+    pub const BUFFER_DEPTH: usize = 2;
+
     /// The paper's baseline mesh parameters over a 64-node single-corner
     /// square: `t_r = 1`, XY-capable minimal adaptive routing, 2-flit
     /// buffers, ideal DRAM. Refine with the `with_*` builders:
@@ -111,7 +116,7 @@ impl MeshConfig {
             t_r: 1,
             policy: RoutingPolicy::MinimalAdaptive,
             memif: MemifConfig::default(),
-            buffer_depth: crate::router::Router::BUFFER_DEPTH,
+            buffer_depth: MeshConfig::BUFFER_DEPTH,
             max_cycles: 1 << 36,
             threads: 1,
         }
@@ -412,12 +417,12 @@ impl PartialOrd for Wake {
 /// the *front* of their bucket on arrival; front is correct because the
 /// cursor is monotone, so every overflow push for a cycle predates every
 /// direct push for it.
+///
+/// Each router's queued mask (bit `cycle % WINDOW` set while the router
+/// has an entry in that cycle's bucket) lives in its `RouterState` record:
+/// the first push sets it, and the drain clears it.
 struct WakeWheel {
     buckets: Vec<Vec<u32>>,
-    /// Per router, bit `cycle % WINDOW` set while the router has an entry
-    /// in that cycle's bucket (set by the first push, cleared by
-    /// [`WakeWheel::drained`]).
-    queued: Vec<u64>,
     /// Cycle the wheel is positioned at; bucket `cursor % WINDOW` holds it.
     cursor: u64,
     /// Total entries across all buckets (not counting the overflow heap).
@@ -426,7 +431,7 @@ struct WakeWheel {
     seq: u64,
 }
 
-// Every in-window cycle needs its own bit of a router's `queued` mask.
+// Every in-window cycle needs its own bit of a router's queued mask.
 const _: () = assert!(WakeWheel::WINDOW <= u64::BITS as u64);
 
 impl WakeWheel {
@@ -435,10 +440,9 @@ impl WakeWheel {
     /// heap keeps correctness for configs beyond it).
     const WINDOW: u64 = 64;
 
-    fn new(routers: usize) -> Self {
+    fn new() -> Self {
         WakeWheel {
             buckets: (0..Self::WINDOW).map(|_| Vec::new()).collect(),
-            queued: vec![0; routers],
             cursor: 0,
             bucket_pending: 0,
             overflow: BinaryHeap::new(),
@@ -451,24 +455,22 @@ impl WakeWheel {
         for b in &mut self.buckets {
             b.clear();
         }
-        self.queued.fill(0);
         self.cursor = 0;
         self.bucket_pending = 0;
         self.overflow.clear();
         self.seq = 0;
     }
 
-    /// Queue `router` at `cycle`, unless it is already bucketed there: the
-    /// duplicate would pop as a no-op after the first entry serviced the
-    /// router. Only exact duplicates go — a stronger-looking "skip if any
-    /// earlier wake is pending" rule re-pushes the pair later and reorders
-    /// same-cycle service.
+    /// Queue `router`, whose queued mask is `queued`, at `cycle`, unless
+    /// it is already bucketed there: the duplicate would pop as a no-op
+    /// after the first entry serviced the router. Only exact duplicates go
+    /// — a stronger-looking "skip if any earlier wake is pending" rule
+    /// re-pushes the pair later and reorders same-cycle service.
     #[inline]
-    fn push(&mut self, router: u32, cycle: u64) {
+    fn push(&mut self, queued: &mut u64, router: u32, cycle: u64) {
         debug_assert!(cycle >= self.cursor, "wakeup in the past");
         if cycle - self.cursor < Self::WINDOW {
             let bit = 1u64 << (cycle % Self::WINDOW);
-            let queued = &mut self.queued[router as usize];
             if *queued & bit != 0 {
                 return;
             }
@@ -504,13 +506,6 @@ impl WakeWheel {
         best
     }
 
-    /// `router`'s entry in the bucket of `cycle` has been drained: a wake
-    /// at `cycle % WINDOW` now belongs to a later lap of the ring.
-    #[inline]
-    fn drained(&mut self, router: usize, cycle: u64) {
-        self.queued[router] &= !(1u64 << (cycle % Self::WINDOW));
-    }
-
     /// Move the cursor to `c` and merge any overflow entries for `c` in
     /// front of the direct-push entries already bucketed for it.
     fn advance_to(&mut self, c: u64) {
@@ -537,15 +532,12 @@ impl WakeWheel {
 /// The mesh simulator.
 pub struct Mesh {
     cfg: MeshConfig,
-    /// All router port state, structure-of-arrays (see `mesh/soa.rs`).
+    /// Router service state and flit slots (see `mesh/soa.rs`).
     slab: soa::RouterSlab,
-    /// Neighbour across each port, flattened `router * NUM_PORTS + port`
-    /// ([`NO_LINK`] past a mesh edge and on `Local`).
-    links: Vec<u32>,
-    /// Coordinate of each router.
-    coords: Vec<NodeCoord>,
-    /// Pre-flitted injection stream per node.
-    inject: Vec<VecDeque<Flit>>,
+    /// Each router's neighbours and coordinate.
+    sites: Vec<Site>,
+    /// Pre-flitted injection stream per node, `src` already stamped.
+    inject: Vec<VecDeque<Slot>>,
     memif_slot: Vec<Option<u32>>,
     memifs: Vec<MemIf>,
     sink_delivered: Vec<u64>,
@@ -559,9 +551,6 @@ pub struct Mesh {
     inject_cycle: HashMap<u64, u64>,
     latency: Option<Histogram>,
     wheel: WakeWheel,
-    /// Last cycle each router was processed (a router runs at most once per
-    /// cycle; duplicate overflow entries pop as no-ops).
-    processed_at: Vec<u64>,
     in_flight: u64,
     pending_inject: u64,
     energy: EnergyCounters,
@@ -589,14 +578,24 @@ const NEVER: u64 = u64::MAX;
 /// A missing neighbour in the link table.
 const NO_LINK: u32 = u32::MAX;
 
-/// The link table of `t`: entry `node * NUM_PORTS + port` is the node
-/// across `port`, wrapping on a torus, or [`NO_LINK`] past a mesh edge and
-/// on `Local`.
-fn link_table(t: &Topology) -> Vec<u32> {
+/// One router's read-only geometry: the node across each of the four
+/// directional ports (index `port - 1`) and its coordinate.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(32))]
+struct Site {
+    /// Neighbour across North, East, South, West, wrapping on a torus, or
+    /// [`NO_LINK`] past a mesh edge.
+    links: [u32; 4],
+    coord: NodeCoord,
+}
+
+/// The site table of `t`, one entry per node.
+fn site_table(t: &Topology) -> Vec<Site> {
     let (w, h) = (i64::from(t.width), i64::from(t.height));
-    let mut links = vec![NO_LINK; t.nodes() * NUM_PORTS];
+    let mut sites = Vec::with_capacity(t.nodes());
     for node in 0..t.nodes() as u32 {
         let c = t.coord(node);
+        let mut links = [NO_LINK; 4];
         for port in [Port::North, Port::East, Port::South, Port::West] {
             let (dx, dy) = match port {
                 Port::North => (0, -1),
@@ -613,13 +612,14 @@ fn link_table(t: &Topology) -> Vec<u32> {
             } else {
                 continue;
             };
-            links[node as usize * NUM_PORTS + port as usize] = t.id(NodeCoord {
+            links[port as usize - 1] = t.id(NodeCoord {
                 x: x as u32,
                 y: y as u32,
             });
         }
+        sites.push(Site { links, coord: c });
     }
-    links
+    sites
 }
 
 /// Serviced cycles between throttled flit-conservation audits (the audit
@@ -643,9 +643,23 @@ struct MeshTelemetry {
 }
 
 impl Mesh {
+    /// Largest node count [`Mesh::new`] accepts: a buffered flit keeps its
+    /// source id in 29 bits. The flit buffers of a mesh that large would
+    /// take over 170 GB, so no configuration that fits in memory is
+    /// refused.
+    pub const MAX_NODES: usize = 1 << Slot::SRC_BITS;
+
     /// Build an idle mesh.
+    ///
+    /// # Panics
+    /// Panics when the topology has more than [`Mesh::MAX_NODES`] nodes.
     pub fn new(cfg: MeshConfig) -> Self {
         let n = cfg.topology.nodes();
+        assert!(
+            n <= Mesh::MAX_NODES,
+            "a mesh holds at most {} nodes, got {n}",
+            Mesh::MAX_NODES
+        );
         let mut memif_slot = vec![None; n];
         let mut memifs = Vec::new();
         for m in cfg.topology.memif_nodes() {
@@ -654,8 +668,7 @@ impl Mesh {
         }
         Mesh {
             slab: soa::RouterSlab::new(n, cfg.buffer_depth),
-            links: link_table(&cfg.topology),
-            coords: (0..n as u32).map(|id| cfg.topology.coord(id)).collect(),
+            sites: site_table(&cfg.topology),
             cfg,
             inject: vec![VecDeque::new(); n],
             memif_slot,
@@ -666,8 +679,7 @@ impl Mesh {
             collect_sink_words: false,
             inject_cycle: HashMap::new(),
             latency: None,
-            wheel: WakeWheel::new(n),
-            processed_at: vec![NEVER; n],
+            wheel: WakeWheel::new(),
             in_flight: 0,
             pending_inject: 0,
             energy: EnergyCounters::default(),
@@ -705,7 +717,6 @@ impl Mesh {
         self.inject_cycle.clear();
         self.latency = None;
         self.wheel.clear();
-        self.processed_at.fill(NEVER);
         self.in_flight = 0;
         self.pending_inject = 0;
         self.energy = EnergyCounters::default();
@@ -835,15 +846,19 @@ impl Mesh {
                 }
             }
         }
-        let flits = packet.flits();
-        self.pending_inject += flits.len() as u64;
-        self.inject[node as usize].extend(flits);
-        let at = if self.processed_at[node as usize] == self.now {
+        self.pending_inject += packet.flit_count() as u64;
+        self.inject[node as usize].extend(packet.flit_iter().map(|mut f| {
+            f.src = node;
+            Slot::pack(&f)
+        }));
+        let state = self.slab.state_mut(node as usize);
+        state.injecting = true;
+        let at = if state.serviced_at == self.now {
             self.now + 1
         } else {
             self.now
         };
-        self.wheel.push(node, at);
+        self.wake(node, at);
         Ok(())
     }
 
@@ -1080,16 +1095,6 @@ impl Mesh {
     pub fn memif_count(&self) -> usize {
         self.memifs.len()
     }
-}
-
-fn m_free_at(m: &MemIf, c: u64) -> u64 {
-    // MemIf does not expose free_at directly; probe forward. The reorder
-    // occupancy is bounded by t_p + 1, so this loop is O(t_p).
-    let mut t = c + 1;
-    while !m.can_accept(t) {
-        t += 1;
-    }
-    t
 }
 
 #[cfg(test)]
@@ -1338,7 +1343,7 @@ mod tests {
             let (w, h) = (t.width, t.height);
             for node in 0..t.nodes() as u32 {
                 let c = t.coord(node);
-                assert_eq!(m.coords[node as usize], c, "{} node {node}", t.label());
+                assert_eq!(m.sites[node as usize].coord, c, "{} node {node}", t.label());
                 // The neighbour across each port, by wrap arithmetic on a
                 // torus and with the edges cut on a mesh.
                 let expected = [
@@ -1347,8 +1352,7 @@ mod tests {
                     (Port::South, (c.x, (c.y + 1) % h), c.y + 1 < h),
                     (Port::West, ((c.x + w - 1) % w, c.y), c.x > 0),
                 ];
-                let at = |port: Port| m.links[node as usize * NUM_PORTS + port as usize];
-                assert_eq!(at(Port::Local), NO_LINK, "{} node {node}", t.label());
+                let at = |port: Port| m.sites[node as usize].links[port as usize - 1];
                 for (port, (x, y), inside) in expected {
                     let want = if t.torus || inside {
                         t.id(NodeCoord { x, y })
@@ -1358,12 +1362,21 @@ mod tests {
                     assert_eq!(at(port), want, "{} node {node} {port:?}", t.label());
                     if want != NO_LINK {
                         // Links come in opposite pairs.
-                        let back = m.links[want as usize * NUM_PORTS + port.opposite() as usize];
+                        let back = m.sites[want as usize].links[port.opposite() as usize - 1];
                         assert_eq!(back, node, "{} node {node} {port:?}", t.label());
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a mesh holds at most 536870912 nodes, got 536903680")]
+    fn a_mesh_past_the_packed_source_id_bound_is_refused_before_allocating() {
+        // One row more than a buffered flit's 29-bit source id can name.
+        let t = Topology::rect(1 << 15, (1 << 14) + 1, MemifPlacement::SingleCorner);
+        assert!(t.nodes() > Mesh::MAX_NODES);
+        Mesh::new(MeshConfig::paper_default().with_topology(t));
     }
 
     #[test]

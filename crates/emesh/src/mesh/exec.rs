@@ -12,6 +12,12 @@
 //! telemetry taps) lives here exactly once and applies its effects
 //! directly, in the order the golden transpose tests pin (DESIGN.md §11).
 //!
+//! The drain is generic over `INSTRUMENTED`. [`Mesh::run`] picks `false`
+//! when no fault layer, telemetry or latency tracking is attached, and the
+//! compiler then drops every fault, telemetry and latency branch from the
+//! per-flit path; with any of them attached the same source runs with the
+//! branches in.
+//!
 //! Fault evaluation does not depend on that order for its schedule: each
 //! Bernoulli site (a router's corruption stream, a directed link's outage
 //! stream) owns a plain trial counter, and
@@ -21,7 +27,7 @@
 use sim_core::invariant;
 
 use super::soa::NO_PORT;
-use super::{m_free_at, Mesh, MeshError, MeshRunResult, RoutingPolicy, WakeWheel};
+use super::{Mesh, MeshError, MeshRunResult, RoutingPolicy, WakeWheel};
 use super::{AUDIT_INTERVAL, NEVER, NO_LINK};
 use crate::faults::PROBE_INTERVAL;
 use crate::flit::FlitKind;
@@ -40,15 +46,29 @@ impl Mesh {
     /// asks for; a request for more than one thread is reported as
     /// [`super::RunWarning::SequentialOnly`] in [`MeshRunResult::warnings`].
     pub fn run(&mut self) -> Result<MeshRunResult, MeshError> {
+        if self.faults.is_none() && self.telemetry.is_none() && self.latency.is_none() {
+            self.drain::<false>()?;
+        } else {
+            self.drain::<true>()?;
+        }
+        self.finish()
+    }
+
+    /// Service wakeups until none is left. With `INSTRUMENTED` false the
+    /// caller guarantees no fault layer, telemetry or latency tracking is
+    /// attached.
+    fn drain<const INSTRUMENTED: bool>(&mut self) -> Result<(), MeshError> {
         let mut audit_countdown = AUDIT_INTERVAL;
         loop {
             // Next service cycle: earliest wheel wakeup or NACK-retransmit
             // turnaround, whichever comes first.
             let mut next = self.wheel.next_cycle();
-            if let Some(due) = self.faults.as_ref().and_then(|fl| fl.next_retx_due()) {
-                next = Some(next.map_or(due, |n| n.min(due)));
+            if INSTRUMENTED {
+                if let Some(due) = self.faults.as_ref().and_then(|fl| fl.next_retx_due()) {
+                    next = Some(next.map_or(due, |n| n.min(due)));
+                }
             }
-            let Some(c) = next else { break };
+            let Some(c) = next else { return Ok(()) };
             // Cooperative cancellation: one branch per serviced cycle when
             // no interrupt is installed.
             if let Some(intr) = self.interrupt.as_mut() {
@@ -70,7 +90,9 @@ impl Mesh {
             debug_assert!(c >= self.now, "wakeup in the past");
             self.now = c;
             self.wheel.advance_to(c);
-            self.drain_due_retransmits(c);
+            if INSTRUMENTED {
+                self.drain_due_retransmits(c);
+            }
             // Drain the bucket for cycle `c` in insertion order. Every wake
             // pushed while processing cycle `c` targets a cycle ≥ c + 1, so
             // the bucket cannot grow (or be reused — c + WINDOW is spilled
@@ -79,9 +101,13 @@ impl Mesh {
             let b = (c % WakeWheel::WINDOW) as usize;
             let mut ids = std::mem::take(&mut self.wheel.buckets[b]);
             self.wheel.bucket_pending -= ids.len() as u64;
+            let bit = !(1u64 << b);
             for &r in &ids {
-                if self.bookkeep(r as usize, c) {
-                    self.service_entry(r, c);
+                let ri = r as usize;
+                self.slab.state_mut(ri).queued &= bit;
+                // A merged overflow duplicate of a serviced entry is skipped.
+                if self.slab.begin_service(ri, c) {
+                    self.service_entry::<INSTRUMENTED>(r, c);
                 }
             }
             ids.clear();
@@ -97,43 +123,40 @@ impl Mesh {
                     self.check_flit_conservation();
                 }
             }
-            if self.faults.is_some() {
+            if INSTRUMENTED && self.faults.is_some() {
                 self.watchdog_check(c)?;
             }
         }
-        self.finish()
     }
 
-    /// Drain bookkeeping for one bucket entry: clear the router's queued
-    /// bit for `c` and dedup via `processed_at`. Returns whether the entry
-    /// should actually be serviced.
+    /// Queue router `r` for service at `cycle`.
     #[inline]
-    fn bookkeep(&mut self, ri: usize, c: u64) -> bool {
-        self.wheel.drained(ri, c);
-        if self.processed_at[ri] == c {
-            return false; // a merged overflow duplicate of a serviced entry
-        }
-        self.processed_at[ri] = c;
-        true
+    pub(super) fn wake(&mut self, r: u32, cycle: u64) {
+        let queued = &mut self.slab.state_mut(r as usize).queued;
+        self.wheel.push(queued, r, cycle);
     }
 
     /// Service router `r` at cycle `c`: telemetry tap, dead check,
     /// injection, then port service rotated by the cycle number.
     #[inline]
-    fn service_entry(&mut self, r: u32, c: u64) {
+    fn service_entry<const INSTRUMENTED: bool>(&mut self, r: u32, c: u64) {
         let ri = r as usize;
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            if t.first_active[ri] == NEVER {
-                t.first_active[ri] = c;
+        if INSTRUMENTED {
+            if let Some(t) = self.telemetry.as_deref_mut() {
+                if t.first_active[ri] == NEVER {
+                    t.first_active[ri] = c;
+                }
+                t.last_active[ri] = c;
+                // Pre-service occupancy, sampled before the dead check.
+                t.occupancy.record(self.slab.occupancy(ri) as u64);
             }
-            t.last_active[ri] = c;
-            // Pre-service occupancy, sampled before the dead check.
-            t.occupancy.record(self.slab.occupancy(ri) as u64);
+            if self.faults.as_ref().is_some_and(|f| f.is_dead(r, c)) {
+                return; // a hard-killed router does nothing, forever
+            }
         }
-        if self.faults.as_ref().is_some_and(|f| f.is_dead(r, c)) {
-            return; // a hard-killed router does nothing, forever
+        if self.slab.state(ri).injecting {
+            self.try_inject::<INSTRUMENTED>(r, c);
         }
-        self.try_inject(r, c);
         // Visit the non-empty inputs in the order ports k + c (mod 5),
         // k = 0..5: rotate the mask right by c mod 5 so bit k is that port.
         let start = (c % NUM_PORTS as u64) as usize;
@@ -142,27 +165,30 @@ impl Mesh {
         while rotated != 0 {
             let p = rotated.trailing_zeros() as usize + start;
             rotated &= rotated - 1;
-            self.try_forward(r, if p >= NUM_PORTS { p - NUM_PORTS } else { p }, c);
+            self.try_forward::<INSTRUMENTED>(r, if p >= NUM_PORTS { p - NUM_PORTS } else { p }, c);
         }
     }
 
     /// The neighbour of `node` across `port`.
     #[inline]
     fn neighbor(&self, node: u32, port: Port) -> u32 {
-        let n = self.links[node as usize * NUM_PORTS + port as usize];
+        debug_assert!(port != Port::Local, "local has no neighbor");
+        let n = self.sites[node as usize].links[port as usize - 1];
         debug_assert!(n != NO_LINK, "router {node} has no {port:?} neighbor");
         n
     }
 
-    /// Route a head flit at `node` toward `dest`. The adaptive arm reads
-    /// the candidate neighbours' facing input-port lengths.
+    /// Route a head flit at `node` toward `dest`, and say whether the
+    /// choice is fixed by `(node, dest)` alone. The adaptive arm reads the
+    /// candidate neighbours' facing input-port lengths, so its choice is
+    /// not.
     #[inline]
-    fn route(&self, node: u32, dest: u32) -> Port {
+    fn route(&self, node: u32, dest: u32) -> (Port, bool) {
         if node == dest {
-            return Port::Local;
+            return (Port::Local, true);
         }
-        let c = self.coords[node as usize];
-        let d = self.coords[dest as usize];
+        let c = self.sites[node as usize].coord;
+        let d = self.sites[dest as usize].coord;
         if self.cfg.topology.torus {
             // Shortest-direction dimension-order routing over the wrap
             // links: x resolves first, and an equidistant tie goes East /
@@ -174,19 +200,21 @@ impl Mesh {
             let (w, h) = (self.cfg.topology.width, self.cfg.topology.height);
             if d.x != c.x {
                 let east = if d.x > c.x { d.x - c.x } else { d.x + w - c.x };
-                return if east <= w - east {
+                let out = if east <= w - east {
                     Port::East
                 } else {
                     Port::West
                 };
+                return (out, true);
             }
             // d.y != c.y here, since node != dest.
             let south = if d.y > c.y { d.y - c.y } else { d.y + h - c.y };
-            return if south <= h - south {
+            let out = if south <= h - south {
                 Port::South
             } else {
                 Port::North
             };
+            return (out, true);
         }
         let want_x = if d.x < c.x {
             Some(Port::West)
@@ -203,13 +231,13 @@ impl Mesh {
             None
         };
         match (want_x, want_y, self.cfg.policy) {
-            (Some(x), None, _) => x,
-            (None, Some(y), _) => y,
-            (Some(x), Some(_), RoutingPolicy::Xy) => x,
+            (Some(x), None, _) => (x, true),
+            (None, Some(y), _) => (y, true),
+            (Some(x), Some(_), RoutingPolicy::Xy) => (x, true),
             (Some(x), Some(y), RoutingPolicy::MinimalAdaptive) => {
                 // West-first turn model: westward hops must happen first.
                 if x == Port::West {
-                    return x;
+                    return (x, true);
                 }
                 // Adaptive between x and y: pick the emptier downstream
                 // buffer; tie prefers x (dimension order).
@@ -217,33 +245,26 @@ impl Mesh {
                 let ny = self.neighbor(node, y);
                 let ox = self.slab.input_len(nx as usize, x.opposite() as usize);
                 let oy = self.slab.input_len(ny as usize, y.opposite() as usize);
-                if oy < ox {
-                    y
-                } else {
-                    x
-                }
+                (if oy < ox { y } else { x }, false)
             }
             (None, None, _) => unreachable!("handled by node == dest"),
         }
     }
 
-    fn try_inject(&mut self, r: u32, c: u64) {
+    fn try_inject<const INSTRUMENTED: bool>(&mut self, r: u32, c: u64) {
         let ri = r as usize;
-        if self.inject[ri].is_empty() {
-            return;
-        }
         if !self.slab.has_space_depth(ri, LOCAL, self.cfg.buffer_depth) {
             // Woken when the local input pops.
             return;
         }
-        let mut flit = self.inject[ri].pop_front().expect("non-empty");
-        flit.src = r;
-        flit.ready_at = c + 1 + if flit.kind.is_head() { self.cfg.t_r } else { 0 };
-        let ready = flit.ready_at;
-        if self.latency.is_some() && flit.kind.is_head() {
-            self.inject_cycle.insert(flit.packet, c);
+        let mut slot = self.inject[ri].pop_front().expect("injecting");
+        let kind = slot.kind();
+        slot.ready_at = c + 1 + if kind.is_head() { self.cfg.t_r } else { 0 };
+        let ready = slot.ready_at;
+        if INSTRUMENTED && self.latency.is_some() && kind.is_head() {
+            self.inject_cycle.insert(slot.unpack().packet, c);
         }
-        self.slab.push_back(ri, LOCAL, flit);
+        self.slab.push_back(ri, LOCAL, slot);
         invariant!(
             self.slab.input_len(ri, LOCAL) <= self.cfg.buffer_depth,
             "buffer bound: router {r} local input exceeds depth {} after inject",
@@ -252,42 +273,51 @@ impl Mesh {
         self.pending_inject -= 1;
         self.in_flight += 1;
         self.energy.injections += 1;
-        self.wheel.push(r, ready);
-        if !self.inject[ri].is_empty() {
-            self.wheel.push(r, c + 1);
+        self.wake(r, ready);
+        if self.inject[ri].is_empty() {
+            self.slab.state_mut(ri).injecting = false;
+        } else {
+            self.wake(r, c + 1);
         }
     }
 
-    fn try_forward(&mut self, r: u32, p: usize, c: u64) {
+    fn try_forward<const INSTRUMENTED: bool>(&mut self, r: u32, p: usize, c: u64) {
         let ri = r as usize;
-        let Some(head) = self.slab.front_ref(ri, p) else {
+        let Some(&head) = self.slab.front_ref(ri, p) else {
             return;
         };
-        let (ready_at, dest, kind) = (head.ready_at, head.dest, head.kind);
-        if ready_at > c {
-            self.wheel.push(r, ready_at);
+        let kind = head.kind();
+        if head.ready_at > c {
+            self.wake(r, head.ready_at);
             return;
         }
-        // Output port: continuation of an open wormhole, or fresh route.
+        // Output port: continuation of an open wormhole, a head's route
+        // kept from an earlier try, or a fresh route. A route that does
+        // not read buffer occupancy is the same on every try, so it is
+        // kept for the head's retries; an adaptive choice is made afresh.
         let out = match self.slab.route(ri, p) {
             Some(o) => Port::from_index(o as usize),
             None => {
                 debug_assert!(kind.is_head(), "body flit without a route");
-                self.route(r, dest)
+                let (out, fixed) = self.route(r, head.dest);
+                if fixed {
+                    self.slab.set_route(ri, p, out as u8);
+                }
+                out
             }
         };
         let o = out as usize;
-        if !self.slab.output_available(ri, o, p, c) {
+        if !self.slab.output_available(ri, o, p) {
             // Channel owned by another packet (woken on release) or used
             // this cycle (retry next).
-            if self.slab.last_used(ri, o) == c {
-                self.wheel.push(r, c + 1);
+            if self.slab.output_used(ri, o) {
+                self.wake(r, c + 1);
             }
             return;
         }
 
         if out == Port::Local {
-            self.eject(r, p, c);
+            self.eject::<INSTRUMENTED>(r, p, c);
             return;
         }
 
@@ -297,20 +327,23 @@ impl Mesh {
             "self-forward: router {r} routed port {p} back into itself via {out:?}"
         );
         let q = out.opposite() as usize;
-        if let Some(f) = self.faults.as_mut() {
-            if f.is_dead(n, c) {
-                // Dead neighbour: hold the flit and re-probe. Nothing will
-                // ever answer, so this is a livelock by design — the
-                // watchdog converts it into a structured diagnostic.
-                f.stats.probes += 1;
-                self.wheel.push(r, c + PROBE_INTERVAL);
-                return;
-            }
-            let until = f.down_until(ri, o);
-            if until > c {
-                // Link still down from an earlier outage; resume then.
-                self.wheel.push(r, until);
-                return;
+        if INSTRUMENTED {
+            if let Some(f) = self.faults.as_mut() {
+                if f.is_dead(n, c) {
+                    // Dead neighbour: hold the flit and re-probe. Nothing
+                    // will ever answer, so this is a livelock by design —
+                    // the watchdog converts it into a structured
+                    // diagnostic.
+                    f.stats.probes += 1;
+                    self.wake(r, c + PROBE_INTERVAL);
+                    return;
+                }
+                let until = f.down_until(ri, o);
+                if until > c {
+                    // Link still down from an earlier outage; resume then.
+                    self.wake(r, until);
+                    return;
+                }
             }
         }
         if !self
@@ -320,31 +353,36 @@ impl Mesh {
             // Woken when (n, q) pops.
             return;
         }
-        if let Some(f) = self.faults.as_mut() {
-            // One outage trial per committed traversal of link (r, out).
-            if f.link_fire(ri, o) {
-                let until = f.take_down(ri, o, c);
-                self.wheel.push(r, until);
-                return;
+        if INSTRUMENTED {
+            if let Some(f) = self.faults.as_mut() {
+                // One outage trial per committed traversal of link (r, out).
+                if f.link_fire(ri, o) {
+                    let until = f.take_down(ri, o, c);
+                    self.wake(r, until);
+                    return;
+                }
             }
         }
 
         // Commit the move.
-        let mut flit = self.slab.pop_front(ri, p).expect("head");
+        let mut slot = head;
+        self.slab.discard_front(ri, p);
         self.after_pop(r, p, c);
-        if let Some(f) = self.faults.as_mut() {
-            // Payload corruption in flight, modelled as a failed-ECC flag
-            // (header flits are protected: corrupting routing state would
-            // misdeliver rather than degrade).
-            if !matches!(flit.kind, FlitKind::Head) && f.corrupt_fire(ri) {
-                flit.corrupted = true;
-                f.stats.corrupted_flits += 1;
+        if INSTRUMENTED {
+            if let Some(f) = self.faults.as_mut() {
+                // Payload corruption in flight, modelled as a failed-ECC
+                // flag (header flits are protected: corrupting routing
+                // state would misdeliver rather than degrade).
+                if !matches!(kind, FlitKind::Head) && f.corrupt_fire(ri) {
+                    slot.corrupt();
+                    f.stats.corrupted_flits += 1;
+                }
             }
         }
-        flit.ready_at = c + 1 + if flit.kind.is_head() { self.cfg.t_r } else { 0 };
-        let ready = flit.ready_at;
-        self.update_channel_state(r, p, o, flit.kind, c);
-        self.slab.push_back(n as usize, q, flit);
+        slot.ready_at = c + 1 + if kind.is_head() { self.cfg.t_r } else { 0 };
+        let ready = slot.ready_at;
+        self.update_channel_state(r, p, o, kind, c);
+        self.slab.push_back(n as usize, q, slot);
         invariant!(
             self.slab.input_len(n as usize, q) <= self.cfg.buffer_depth,
             "buffer bound: router {n} input port {q} exceeds depth {} after forward",
@@ -353,24 +391,27 @@ impl Mesh {
         self.energy.router_traversals += 1;
         self.energy.link_hops += 1;
         self.router_forwards[ri] += 1;
-        self.wheel.push(n, ready);
+        self.wake(n, ready);
     }
 
-    fn eject(&mut self, r: u32, p: usize, c: u64) {
+    fn eject<const INSTRUMENTED: bool>(&mut self, r: u32, p: usize, c: u64) {
         let ri = r as usize;
         let memif = self.memif_slot[ri].map(|slot| slot as usize);
         if let Some(slot) = memif {
-            if !self.memifs[slot].can_accept(c) {
-                let free = m_free_at(&self.memifs[slot], c);
-                self.wheel.push(r, free);
+            let m = &self.memifs[slot];
+            if !m.can_accept(c) {
+                // Busy until `free_at() > c`: retry the first cycle it frees.
+                let free = m.free_at();
+                self.wake(r, free);
                 return;
             }
         }
-        let flit = self.slab.pop_front(ri, p).expect("head");
+        let flit = self.slab.pop_front(ri, p).expect("head").unpack();
         self.after_pop(r, p, c);
         self.update_channel_state(r, p, LOCAL, flit.kind, c);
+        debug_assert!(INSTRUMENTED || !flit.corrupted, "corrupted without faults");
         if let Some(slot) = memif {
-            if flit.corrupted {
+            if INSTRUMENTED && flit.corrupted {
                 // Poisoned element: charge port timing, refuse staging, NACK.
                 self.memifs[slot].accept_nack(c, &flit);
                 self.faults
@@ -382,8 +423,8 @@ impl Mesh {
             }
         } else if !matches!(flit.kind, FlitKind::Head) {
             // Processor sink: always ready, one flit per cycle (enforced by
-            // the output channel's last_used stamp).
-            if flit.corrupted {
+            // the output channel's used mask).
+            if INSTRUMENTED && flit.corrupted {
                 // Sinks detect but do not NACK (the paper's retransmit sits
                 // at the memory interface); the word is lost.
                 self.faults
@@ -399,7 +440,7 @@ impl Mesh {
                 }
             }
         }
-        if flit.kind.is_tail() {
+        if INSTRUMENTED && flit.kind.is_tail() {
             if let Some(h) = self.latency.as_mut() {
                 if let Some(t0) = self.inject_cycle.remove(&flit.packet) {
                     h.record(c - t0);
@@ -421,33 +462,33 @@ impl Mesh {
     fn after_pop(&mut self, r: u32, p: usize, c: u64) {
         let ri = r as usize;
         if self.slab.input_len(ri, p) > 0 {
-            self.wheel.push(r, c + 1);
+            self.wake(r, c + 1);
         }
         if p == LOCAL {
             // Feeder is the local injector.
-            if !self.inject[ri].is_empty() {
-                self.wheel.push(r, c + 1);
+            if self.slab.state(ri).injecting {
+                self.wake(r, c + 1);
             }
         } else {
             let feeder = self.neighbor(r, Port::from_index(p));
-            self.wheel.push(feeder, c + 1);
+            self.wake(feeder, c + 1);
         }
     }
 
     /// Update wormhole ownership and per-input route state for a forwarded
-    /// flit of `kind`, and stamp the output as used this cycle.
+    /// flit of `kind`, and mark the output as used this cycle.
     fn update_channel_state(&mut self, r: u32, p: usize, o: usize, kind: FlitKind, c: u64) {
         let ri = r as usize;
-        self.slab.set_last_used(ri, o, c);
+        self.slab.mark_used(ri, o);
         if kind.is_head() {
-            self.slab.set_owner_raw(ri, o, p as u8);
-            self.slab.set_route_raw(ri, p, o as u8);
+            self.slab.set_owner(ri, o, p as u8);
+            self.slab.set_route(ri, p, o as u8);
         }
         if kind.is_tail() {
-            self.slab.set_owner_raw(ri, o, NO_PORT);
-            self.slab.set_route_raw(ri, p, NO_PORT);
+            self.slab.set_owner(ri, o, NO_PORT);
+            self.slab.set_route(ri, p, NO_PORT);
             // Channel released: contenders at this router may proceed.
-            self.wheel.push(r, c + 1);
+            self.wake(r, c + 1);
         }
     }
 }

@@ -1,17 +1,11 @@
-//! The five-port wormhole router.
+//! The five ports of a wormhole router.
 //!
 //! Ports: Local (0), North (1), East (2), South (3), West (4). Each input
-//! port has a 2-flit buffer (the paper's "2-flit deep buffers output to
-//! inter-processor channels"); each output port is a wormhole channel owned
-//! by at most one in-flight packet between its head and tail flits, and
-//! carries at most one flit per cycle.
-//!
-//! Input buffers are fixed-capacity inline rings ([`FlitRing`]) rather than
-//! `VecDeque`s: a flit move touches one cache line of the router it lives
-//! in instead of a separately heap-allocated block, which matters because
-//! buffer push/pop is the hottest operation in the mesh simulator.
-
-use crate::flit::{Flit, FlitKind};
+//! port has a 2-flit buffer by default (the paper's "2-flit deep buffers
+//! output to inter-processor channels"); each output port is a wormhole
+//! channel owned by at most one in-flight packet between its head and tail
+//! flits, and carries at most one flit per cycle. The mesh keeps every
+//! router's port state in one record per router (`mesh/soa.rs`).
 
 /// Port indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,195 +53,10 @@ impl Port {
     }
 }
 
-/// Fixed-capacity inline FIFO of flits.
-///
-/// Capacity is [`FlitRing::MAX_DEPTH`]; the *logical* buffer depth is
-/// enforced by the mesh via [`Router::has_space_depth`], so one ring type
-/// serves every depth the buffer-ablation sweeps (2..=64). Storage is
-/// inline — no heap allocation, no pointer chase on the hot path.
-#[derive(Debug, Clone)]
-pub struct FlitRing {
-    slots: [Flit; Self::MAX_DEPTH],
-    head: u32,
-    len: u32,
-}
-
-impl Default for FlitRing {
-    fn default() -> Self {
-        const EMPTY: Flit = Flit {
-            dest: 0,
-            src: 0,
-            payload: 0,
-            kind: FlitKind::HeadTail,
-            packet: 0,
-            ready_at: 0,
-            corrupted: false,
-        };
-        FlitRing {
-            slots: [EMPTY; Self::MAX_DEPTH],
-            head: 0,
-            len: 0,
-        }
-    }
-}
-
-impl FlitRing {
-    /// Physical ring capacity; the deepest buffer any experiment configures.
-    pub const MAX_DEPTH: usize = 64;
-
-    const MASK: u32 = Self::MAX_DEPTH as u32 - 1;
-
-    /// Buffered flit count.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// True when nothing is buffered.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The oldest buffered flit, if any.
-    #[inline]
-    pub fn front(&self) -> Option<&Flit> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(&self.slots[(self.head & Self::MASK) as usize])
-        }
-    }
-
-    /// Append a flit. Panics if the physical capacity is exceeded (the mesh
-    /// checks logical space via [`Router::has_space_depth`] first).
-    #[inline]
-    pub fn push_back(&mut self, flit: Flit) {
-        assert!(self.len() < Self::MAX_DEPTH, "FlitRing overflow");
-        self.slots[((self.head + self.len) & Self::MASK) as usize] = flit;
-        self.len += 1;
-    }
-
-    /// Remove and return the oldest buffered flit.
-    #[inline]
-    pub fn pop_front(&mut self) -> Option<Flit> {
-        if self.len == 0 {
-            return None;
-        }
-        let f = self.slots[(self.head & Self::MASK) as usize];
-        self.head = self.head.wrapping_add(1);
-        self.len -= 1;
-        Some(f)
-    }
-}
-
-/// Per-input-port state.
-#[derive(Debug, Clone, Default)]
-pub struct InputPort {
-    /// The buffer (logical capacity enforced by [`Router::BUFFER_DEPTH`] /
-    /// the configured depth; physical capacity [`FlitRing::MAX_DEPTH`]).
-    pub buf: FlitRing,
-    /// Output port assigned to the packet currently flowing through this
-    /// input (set when its head is forwarded, cleared at its tail).
-    pub route: Option<u8>,
-}
-
-/// Per-output-port state.
-#[derive(Debug, Clone, Default)]
-pub struct OutputPort {
-    /// Input port currently owning this wormhole channel.
-    pub owner: Option<u8>,
-    /// Cycle stamp of the last forward through this output (≤ 1 flit/cycle).
-    pub last_used: u64,
-    /// Round-robin arbitration pointer.
-    pub rr: u8,
-}
-
-/// One router.
-#[derive(Debug, Clone)]
-pub struct Router {
-    /// Input side, indexed by [`Port`].
-    pub inputs: [InputPort; NUM_PORTS],
-    /// Output side, indexed by [`Port`].
-    pub outputs: [OutputPort; NUM_PORTS],
-}
-
-impl Default for Router {
-    fn default() -> Self {
-        Router {
-            inputs: Default::default(),
-            outputs: [
-                OutputPort {
-                    last_used: u64::MAX,
-                    ..Default::default()
-                },
-                OutputPort {
-                    last_used: u64::MAX,
-                    ..Default::default()
-                },
-                OutputPort {
-                    last_used: u64::MAX,
-                    ..Default::default()
-                },
-                OutputPort {
-                    last_used: u64::MAX,
-                    ..Default::default()
-                },
-                OutputPort {
-                    last_used: u64::MAX,
-                    ..Default::default()
-                },
-            ],
-        }
-    }
-}
-
-impl Router {
-    /// Default input buffer depth in flits (§V-C-2: two).
-    pub const BUFFER_DEPTH: usize = 2;
-
-    /// Whether input `p` can accept another flit under a buffer depth of
-    /// `depth` flits.
-    pub fn has_space_depth(&self, p: usize, depth: usize) -> bool {
-        self.inputs[p].buf.len() < depth
-    }
-
-    /// Whether input `p` can accept another flit at the paper's default
-    /// 2-flit depth.
-    pub fn has_space(&self, p: usize) -> bool {
-        self.has_space_depth(p, Self::BUFFER_DEPTH)
-    }
-
-    /// Total buffered flits across all inputs.
-    pub fn occupancy(&self) -> usize {
-        self.inputs.iter().map(|i| i.buf.len()).sum()
-    }
-
-    /// True when nothing is buffered anywhere in this router.
-    pub fn is_empty(&self) -> bool {
-        self.inputs.iter().all(|i| i.buf.is_empty())
-    }
-
-    /// Whether output `o` is free this cycle for input `p`:
-    /// channel un-owned or owned by `p`, and not already used at `cycle`.
-    pub fn output_available(&self, o: usize, p: usize, cycle: u64) -> bool {
-        let out = &self.outputs[o];
-        let owned_ok = match out.owner {
-            None => true,
-            Some(owner) => owner as usize == p,
-        };
-        owned_ok && (out.last_used == u64::MAX || out.last_used < cycle)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flit::{FlitKind, Packet};
-
-    fn some_flit() -> Flit {
-        Packet::headerless(0, 0, vec![1]).flits()[0]
-    }
 
     #[test]
     fn opposite_ports() {
@@ -257,76 +66,8 @@ mod tests {
     }
 
     #[test]
-    fn buffer_depth_enforced_via_has_space() {
-        let mut r = Router::default();
-        assert!(r.has_space(0));
-        r.inputs[0].buf.push_back(some_flit());
-        assert!(r.has_space(0));
-        r.inputs[0].buf.push_back(some_flit());
-        assert!(!r.has_space(0));
-        assert_eq!(r.occupancy(), 2);
-        assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn output_availability_rules() {
-        let mut r = Router::default();
-        // Fresh output: available to anyone.
-        assert!(r.output_available(2, 0, 10));
-        // Owned by input 1: only input 1 may use it.
-        r.outputs[2].owner = Some(1);
-        assert!(!r.output_available(2, 0, 10));
-        assert!(r.output_available(2, 1, 10));
-        // Used this cycle: nobody may use it again.
-        r.outputs[2].last_used = 10;
-        assert!(!r.output_available(2, 1, 10));
-        assert!(r.output_available(2, 1, 11));
-    }
-
-    #[test]
     fn flit_kind_roundtrip_via_packet() {
-        let f = some_flit();
+        let f = Packet::headerless(0, 0, vec![1]).flits()[0];
         assert_eq!(f.kind, FlitKind::HeadTail);
-    }
-
-    #[test]
-    fn flit_ring_fifo_order_and_wraparound() {
-        let mut ring = FlitRing::default();
-        assert!(ring.is_empty());
-        assert!(ring.front().is_none());
-        // Push/pop more than MAX_DEPTH total so head wraps the ring.
-        let mut next = 0u64;
-        let mut expect = 0u64;
-        for _ in 0..(FlitRing::MAX_DEPTH * 3) {
-            let mut f = some_flit();
-            f.payload = next;
-            next += 1;
-            ring.push_back(f);
-            let mut g = some_flit();
-            g.payload = next;
-            next += 1;
-            ring.push_back(g);
-            assert_eq!(ring.len(), 2);
-            assert_eq!(ring.front().unwrap().payload, expect);
-            assert_eq!(ring.pop_front().unwrap().payload, expect);
-            assert_eq!(ring.pop_front().unwrap().payload, expect + 1);
-            expect += 2;
-            assert!(ring.is_empty());
-        }
-    }
-
-    #[test]
-    fn flit_ring_holds_max_depth() {
-        let mut ring = FlitRing::default();
-        for i in 0..FlitRing::MAX_DEPTH as u64 {
-            let mut f = some_flit();
-            f.payload = i;
-            ring.push_back(f);
-        }
-        assert_eq!(ring.len(), FlitRing::MAX_DEPTH);
-        for i in 0..FlitRing::MAX_DEPTH as u64 {
-            assert_eq!(ring.pop_front().unwrap().payload, i);
-        }
-        assert!(ring.is_empty());
     }
 }

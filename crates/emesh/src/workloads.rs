@@ -17,13 +17,14 @@ pub fn load_transpose(cfg: MeshConfig, procs: usize, row_len: usize) -> Mesh {
     let mut mesh = Mesh::new(cfg);
     let nodes = cfg.topology.nodes();
     assert!(procs <= nodes, "more processors than mesh nodes");
-    let mut packet_id = 0u64;
+    // One packet, rewritten per element: injection copies its flits out.
+    let mut packet = Packet::with_header(0, 0, vec![0]);
     for r in 0..procs as u32 {
-        let memif = cfg.topology.nearest_memif(r);
+        packet.dest = cfg.topology.nearest_memif(r);
         for c in 0..row_len as u64 {
-            let addr = c * procs as u64 + r as u64;
-            mesh.inject_packet(r, &Packet::with_header(memif, packet_id, vec![addr]));
-            packet_id = packet_id.wrapping_add(1);
+            packet.payload[0] = c * procs as u64 + r as u64;
+            mesh.inject_packet(r, &packet);
+            packet.id = packet.id.wrapping_add(1);
         }
     }
     mesh
