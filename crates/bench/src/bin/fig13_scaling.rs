@@ -1,6 +1,9 @@
 //! Regenerates **Fig. 13** — simulated 2-D FFT performance (GFLOPS, paper
 //! multiply-costing) vs core count for the ideal machine, P-sync, and the
-//! electronic mesh, under Model-I delivery and equalized bandwidth.
+//! electronic mesh, under Model-I delivery and equalized bandwidth — and,
+//! from the same sweep, **Fig. 14**: the percentage of total runtime spent
+//! reorganizing data between the two 1-D FFT passes. Both figures' columns
+//! are in the rows written to `results/fig13.json`.
 //!
 //! ```text
 //! cargo run --release -p bench --bin fig13_scaling
@@ -25,6 +28,17 @@ fn main() -> Result<(), BenchError> {
             ]
         })
         .collect();
+    let reorg: Vec<Vec<String>> = pts
+        .iter()
+        .map(|p| {
+            vec![
+                p.cores.to_string(),
+                f(p.mesh_reorg_frac * 100.0, 1),
+                f(p.psync_reorg_frac * 100.0, 1),
+            ]
+        })
+        .collect();
+    let last = pts.last().unwrap();
     let mesh_peak = pts
         .iter()
         .max_by(|a, b| a.mesh_gflops.partial_cmp(&b.mesh_gflops).unwrap())
@@ -43,7 +57,17 @@ fn main() -> Result<(), BenchError> {
     .note(format!(
         "mesh peaks at {} cores; P-sync/ideal at 4096 cores = {:.3}",
         mesh_peak.cores,
-        pts.last().unwrap().psync_gflops / pts.last().unwrap().ideal_gflops
+        last.psync_gflops / last.ideal_gflops
+    ))
+    .table(
+        "Fig. 14: % of runtime in data reorganization (2-D FFT)",
+        &["cores", "mesh (%)", "P-sync (%)"],
+        &reorg,
+    )
+    .note(format!(
+        "at 4096 cores: mesh {:.1}% vs P-sync {:.1}% (paper: mesh keeps growing, P-sync levels off)",
+        last.mesh_reorg_frac * 100.0,
+        last.psync_reorg_frac * 100.0
     ))
     .rows(&pts)
     .run()

@@ -27,9 +27,6 @@
 //!   transpose, mirroring §V-B's five-step flow.
 //! * [`ops`] — exact multiply/butterfly counting under the paper's costing
 //!   (4 real multiplies per butterfly, Table I assumptions).
-//! * [`six_step`] — Bailey's large-1-D-as-2-D decomposition (§II's "large 1D
-//!   vector FFTs are typically implemented as 2D matrix FFTs"), whose two
-//!   corner turns are exactly the SCA's sweet spot.
 
 pub mod blocked;
 pub mod complex;
@@ -37,7 +34,6 @@ pub mod dft;
 pub mod fft2d;
 pub mod ops;
 pub mod radix2;
-pub mod six_step;
 
 pub use blocked::BlockedFft;
 pub use complex::Complex64;
@@ -45,4 +41,3 @@ pub use dft::dft_reference;
 pub use fft2d::Fft2d;
 pub use ops::{butterflies, multiplies, OpCounts};
 pub use radix2::{bit_reverse_permute, fft_in_place, ifft_in_place, Radix2Plan};
-pub use six_step::SixStepPlan;

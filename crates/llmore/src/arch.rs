@@ -86,11 +86,6 @@ impl SystemParams {
     pub fn pass_compute_secs(&self, p: u64) -> f64 {
         self.mults_per_pass() as f64 / (p as f64 * self.core_mults_per_sec)
     }
-
-    /// Network cycle time in seconds.
-    pub fn cycle_secs(&self) -> f64 {
-        1.0 / (self.clock_ghz * 1e9)
-    }
 }
 
 #[cfg(test)]

@@ -20,13 +20,11 @@
 //!   rayon.
 
 pub mod arch;
-pub mod mapping;
 pub mod phases;
 pub mod sim;
 pub mod sweep;
 
 pub use arch::{ArchKind, SystemParams};
-pub use mapping::{optimize_map, FftMap, RowDistribution};
 pub use phases::{DeliveryModel, PhaseBreakdown};
 pub use sim::{simulate_fft2d, PerfResult};
 pub use sweep::{sweep_cores, SweepPoint};

@@ -146,11 +146,6 @@ impl ChipLayout {
         assert!(i <= j, "flight_between expects i <= j");
         flight_time_mm(self.tap_position_mm(j) - self.tap_position_mm(i))
     }
-
-    /// Flight time over the entire bus.
-    pub fn end_to_end(&self) -> Duration {
-        flight_time_mm(self.bus_length_mm())
-    }
 }
 
 #[cfg(test)]

@@ -65,17 +65,6 @@ pub enum BusError {
         /// The offending id.
         node: NodeId,
     },
-    /// A listener scheduled a slot it physically cannot hear: the driver is
-    /// not strictly upstream (or the slot is dark). `driver == usize::MAX`
-    /// encodes an unowned slot.
-    Unreachable {
-        /// The contested slot.
-        slot: u64,
-        /// Who drives it (usize::MAX = nobody).
-        driver: NodeId,
-        /// Who tried to listen.
-        listener: NodeId,
-    },
 }
 
 impl std::fmt::Display for BusError {
@@ -93,20 +82,6 @@ impl std::fmt::Display for BusError {
                 write!(f, "node {node} drives {need} slots but holds {have} words")
             }
             BusError::BadNode { node } => write!(f, "CP references nonexistent node {node}"),
-            BusError::Unreachable {
-                slot,
-                driver,
-                listener,
-            } => {
-                if *driver == usize::MAX {
-                    write!(f, "node {listener} listens to dark slot {slot}")
-                } else {
-                    write!(
-                        f,
-                        "node {listener} cannot hear slot {slot}: driver {driver} is not upstream"
-                    )
-                }
-            }
         }
     }
 }
@@ -144,17 +119,6 @@ pub struct ScatterOutcome {
     pub end: Time,
     /// Total data bits carried.
     pub bits: u64,
-}
-
-/// Result of a mixed Drive/Listen transaction (see [`BusSim::transact`]).
-#[derive(Debug, Clone)]
-pub struct TransactOutcome {
-    /// The underlying gather view (terminus stream, utilization, energy).
-    pub gather: GatherOutcome,
-    /// Words captured by each listening node, in its CP slot order.
-    pub delivered: Vec<Vec<u64>>,
-    /// Time each listening node captured its last slot.
-    pub completion: Vec<Option<Time>>,
 }
 
 /// One node's modulation of a wavefront. Claims on the same wavefront are
@@ -266,16 +230,6 @@ impl BusSim {
         programs: &[CommProgram],
         data: &[Vec<u64>],
     ) -> Result<GatherOutcome, BusError> {
-        self.claim(programs, data).map(|(out, _)| out)
-    }
-
-    /// The gather sweep. Besides the outcome, returns each wavefront's
-    /// winning claim, so [`BusSim::transact`] knows who really drove it.
-    fn claim(
-        &self,
-        programs: &[CommProgram],
-        data: &[Vec<u64>],
-    ) -> Result<(GatherOutcome, Vec<Option<Claim>>), BusError> {
         assert_eq!(programs.len(), data.len(), "one data vector per program");
         if programs.len() > self.nodes() {
             return Err(BusError::BadNode { node: self.nodes() });
@@ -387,64 +341,13 @@ impl BusSim {
             _ => (Time::ZERO, Time::ZERO, 0.0),
         };
 
-        let outcome = GatherOutcome {
+        Ok(GatherOutcome {
             bits: owned * self.plan.bits_per_slot(),
             received,
             first_arrival,
             last_arrival,
             utilization,
             slots_by_node,
-        };
-        Ok((outcome, claims))
-    }
-
-    /// Execute a general transaction: programs may both Drive and Listen.
-    ///
-    /// This is the §IV "multi-purpose physical channel": SCA traffic and
-    /// ordinary node-to-node messages share the waveguide under one global
-    /// schedule. Physics constrains who can hear whom — the bus is
-    /// *directional*: a listener only captures a wavefront modulated by a
-    /// strictly **upstream** node (the wavefront passes downstream taps
-    /// after the driver, and upstream taps before it). Listening to a slot
-    /// whose driver is at or downstream of the listener yields
-    /// [`BusError::Unreachable`].
-    ///
-    /// Ownership is the gather's: a driver whose timing error moved its
-    /// modulation onto another wavefront is heard there, and a wavefront
-    /// nobody actually imprinted is dark.
-    pub fn transact(
-        &self,
-        programs: &[CommProgram],
-        data: &[Vec<u64>],
-    ) -> Result<TransactOutcome, BusError> {
-        let (gather, claims) = self.claim(programs, data)?;
-
-        let mut delivered: Vec<Vec<u64>> = vec![Vec::new(); programs.len()];
-        let mut completion: Vec<Option<Time>> = vec![None; programs.len()];
-        for (node, cp) in programs.iter().enumerate() {
-            for e in runs(cp, CpAction::Listen) {
-                for slot in e.start..e.end() {
-                    match claims.get(slot as usize).copied().flatten() {
-                        Some(c) if c.node < node => delivered[node].push(
-                            gather.received[slot as usize]
-                                .expect("an owned wavefront carries a word"),
-                        ),
-                        driver => {
-                            return Err(BusError::Unreachable {
-                                slot,
-                                driver: driver.map_or(usize::MAX, |c| c.node),
-                                listener: node,
-                            })
-                        }
-                    }
-                }
-                completion[node] = Some(self.captured_at(node, e.end() - 1));
-            }
-        }
-        Ok(TransactOutcome {
-            gather,
-            delivered,
-            completion,
         })
     }
 
@@ -707,55 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn transact_delivers_downstream_messages() {
-        // Node 0 sends 2 words to node 3; node 1 sends 1 word to node 2 —
-        // all on one shared schedule, interleaved with an SCA-style drive.
-        let b = bus(4);
-        let cps = vec![
-            run(0, 2, Drive),
-            run(2, 1, Drive),
-            run(2, 1, Listen),
-            run(0, 2, Listen),
-        ];
-        let data = vec![vec![10, 11], vec![22], vec![], vec![]];
-        let out = b.transact(&cps, &data).unwrap();
-        assert_eq!(out.delivered[2], vec![22]);
-        assert_eq!(out.delivered[3], vec![10, 11]);
-        // Node 2's last listen slot (slot 2) launches after node 3's pair
-        // (slots 0–1), but node 3 sits further down the waveguide and its
-        // tap skew exceeds the slot period, so node 3 completes later.
-        assert!(out.completion[3].unwrap() > out.completion[2].unwrap());
-        // The terminus still sees the full coalesced stream.
-        assert_eq!(out.gather.received, vec![Some(10), Some(11), Some(22)]);
-    }
-
-    #[test]
-    fn transact_rejects_upstream_listening() {
-        // Node 2 drives; node 1 (upstream) tries to listen: physically
-        // impossible on a directional waveguide.
-        let b = bus(3);
-        let cps = vec![CommProgram::empty(), run(0, 1, Listen), run(0, 1, Drive)];
-        let data = vec![vec![], vec![], vec![7]];
-        let err = b.transact(&cps, &data).unwrap_err();
-        assert_eq!(
-            err,
-            BusError::Unreachable {
-                slot: 0,
-                driver: 2,
-                listener: 1
-            }
-        );
-    }
-
-    #[test]
-    fn transact_rejects_dark_slot_listening() {
-        let b = bus(2);
-        let cps = vec![run(0, 1, Drive), run(5, 1, Listen)];
-        let err = b.transact(&cps, &[vec![1], vec![]]).unwrap_err();
-        assert!(matches!(err, BusError::Unreachable { slot: 5, .. }));
-    }
-
-    #[test]
     fn empty_gather_is_empty() {
         let b = bus(2);
         let out = b
@@ -766,56 +620,5 @@ mod tests {
             .unwrap();
         assert!(out.received.iter().all(|w| w.is_none()) || out.received.is_empty());
         assert_eq!(out.bits, 0);
-    }
-
-    #[test]
-    fn transact_hears_a_driver_that_drifted_early() {
-        // Node 0's CP drives slots 1–2, but it runs a full slot early: its
-        // words land on wavefronts 0–1. Listeners hear what is really on
-        // the bus.
-        let mut b = bus(3);
-        b.set_timing_error(0, -100);
-        let data = vec![vec![5, 6], vec![]];
-        let out = b
-            .transact(&[run(1, 2, Drive), run(0, 2, Listen)], &data)
-            .unwrap();
-        assert_eq!(out.gather.received, vec![Some(5), Some(6)]);
-        assert_eq!(out.delivered[1], vec![5, 6]);
-        // Slot 2 is on node 0's CP but nobody imprinted its wavefront.
-        let err = b
-            .transact(&[run(1, 2, Drive), run(2, 1, Listen)], &data)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            BusError::Unreachable {
-                slot: 2,
-                driver: usize::MAX,
-                listener: 1
-            }
-        );
-    }
-
-    #[test]
-    fn transact_hears_a_driver_that_drifted_late() {
-        // Node 0 runs a full slot late: its words land on wavefronts 1–2
-        // and wavefront 0 goes dark.
-        let mut b = bus(3);
-        b.set_timing_error(0, 100);
-        let data = vec![vec![5, 6], vec![]];
-        let out = b
-            .transact(&[run(0, 2, Drive), run(1, 2, Listen)], &data)
-            .unwrap();
-        assert_eq!(out.delivered[1], vec![5, 6]);
-        let err = b
-            .transact(&[run(0, 2, Drive), run(0, 1, Listen)], &data)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            BusError::Unreachable {
-                slot: 0,
-                driver: usize::MAX,
-                listener: 1
-            }
-        );
     }
 }

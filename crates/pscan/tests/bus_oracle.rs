@@ -2,12 +2,12 @@
 //!
 //! [`BusSim`] resolves wavefront ownership in one linear pass over each CP's
 //! runs. The reference model below does it the slow, obvious way: it lists
-//! every modulation (and every scatter/transact delivery) as an event, sorts
-//! the events by `(time, scheduling order)` and replays them one at a time,
+//! every modulation (and every scatter delivery) as an event, sorts the
+//! events by `(time, scheduling order)` and replays them one at a time,
 //! stopping at the first modulation that lands on an already-owned
 //! wavefront. Random CP sets with random per-node timing errors — two- and
-//! three-way collisions, drift gaps, wavefronts lost before slot 0, dark and
-//! upstream listens, underruns — must give the same outcome or the same
+//! three-way collisions, drift gaps, wavefronts lost before slot 0,
+//! underruns, short scatter bursts — must give the same outcome or the same
 //! error value from both.
 
 use std::collections::BTreeMap;
@@ -16,7 +16,7 @@ use photonics::waveguide::ChipLayout;
 use photonics::wdm::WavelengthPlan;
 use proptest::prelude::*;
 use proptest::{TestCaseError, TestRng};
-use pscan::bus::{BusError, BusSim, GatherOutcome, ScatterOutcome, TransactOutcome};
+use pscan::bus::{BusError, BusSim, GatherOutcome, ScatterOutcome};
 use pscan::cp::{CommProgram, CpAction, CpEntry};
 use pscan::NodeId;
 use sim_core::time::Time;
@@ -75,12 +75,11 @@ fn slots(cp: &CommProgram, action: CpAction) -> impl Iterator<Item = u64> + '_ {
 }
 
 /// Reference gather: replay modulations in `(time, scheduling order)`.
-/// Returns the outcome and the owner of each wavefront.
 fn ref_gather(
     rig: &Rig,
     programs: &[CommProgram],
     data: &[Vec<u64>],
-) -> Result<(GatherOutcome, Vec<Option<NodeId>>), BusError> {
+) -> Result<GatherOutcome, BusError> {
     if programs.len() > rig.bus.nodes() {
         return Err(BusError::BadNode {
             node: rig.bus.nodes(),
@@ -142,34 +141,18 @@ fn ref_gather(
         }
         _ => (Time::ZERO, Time::ZERO, 0.0),
     };
-    Ok((
-        GatherOutcome {
-            received,
-            first_arrival,
-            last_arrival,
-            utilization,
-            bits: owned * rig.bus.plan().bits_per_slot(),
-            slots_by_node,
-        },
-        owner,
-    ))
+    Ok(GatherOutcome {
+        received,
+        first_arrival,
+        last_arrival,
+        utilization,
+        bits: owned * rig.bus.plan().bits_per_slot(),
+        slots_by_node,
+    })
 }
 
-/// Replay `(time, scheduling order)`-sorted deliveries into per-node words
-/// and completion times.
-type Deliveries = (Vec<Vec<u64>>, Vec<Option<Time>>);
-
-fn replay_deliveries(nodes: usize, events: BTreeMap<(Time, usize), (NodeId, u64)>) -> Deliveries {
-    let mut delivered = vec![Vec::new(); nodes];
-    let mut completion = vec![None; nodes];
-    for ((at, _), (node, word)) in events {
-        delivered[node].push(word);
-        completion[node] = Some(at);
-    }
-    (delivered, completion)
-}
-
-/// Reference scatter: one delivery event per Listen slot.
+/// Reference scatter: one delivery event per Listen slot, replayed in
+/// `(time, scheduling order)` into per-node words and completion times.
 fn ref_scatter(
     rig: &Rig,
     programs: &[CommProgram],
@@ -194,7 +177,12 @@ fn ref_scatter(
             events.insert((rig.captured_at(node, slot), order), (node, word));
         }
     }
-    let (delivered, completion) = replay_deliveries(programs.len(), events);
+    let mut delivered = vec![Vec::new(); programs.len()];
+    let mut completion = vec![None; programs.len()];
+    for ((at, _), (node, word)) in events {
+        delivered[node].push(word);
+        completion[node] = Some(at);
+    }
     let n = burst.len() as u64;
     Ok(ScatterOutcome {
         delivered,
@@ -205,41 +193,6 @@ fn ref_scatter(
             rig.bus.terminus_time(n - 1)
         },
         bits: n * rig.bus.plan().bits_per_slot(),
-    })
-}
-
-/// Reference transact: a gather, then listeners hear the wavefront's real
-/// owner if it is strictly upstream.
-fn ref_transact(
-    rig: &Rig,
-    programs: &[CommProgram],
-    data: &[Vec<u64>],
-) -> Result<TransactOutcome, BusError> {
-    let (gather, owner) = ref_gather(rig, programs, data)?;
-    let mut events = BTreeMap::new();
-    for (node, cp) in programs.iter().enumerate() {
-        for slot in slots(cp, CpAction::Listen) {
-            match owner.get(slot as usize).copied().flatten() {
-                Some(driver) if driver < node => {
-                    let word = gather.received[slot as usize].unwrap();
-                    let order = events.len();
-                    events.insert((rig.captured_at(node, slot), order), (node, word));
-                }
-                driver => {
-                    return Err(BusError::Unreachable {
-                        slot,
-                        driver: driver.unwrap_or(usize::MAX),
-                        listener: node,
-                    })
-                }
-            }
-        }
-    }
-    let (delivered, completion) = replay_deliveries(programs.len(), events);
-    Ok(TransactOutcome {
-        gather,
-        delivered,
-        completion,
     })
 }
 
@@ -258,14 +211,6 @@ fn gather_view(g: &GatherOutcome) -> impl PartialEq + std::fmt::Debug {
 
 fn scatter_view(s: &ScatterOutcome) -> impl PartialEq + std::fmt::Debug {
     (s.delivered.clone(), s.completion.clone(), s.end, s.bits)
-}
-
-fn transact_view(t: &TransactOutcome) -> impl PartialEq + std::fmt::Debug {
-    (
-        gather_view(&t.gather),
-        t.delivered.clone(),
-        t.completion.clone(),
-    )
 }
 
 /// Run-length encode one node's per-slot actions into a CP.
@@ -417,19 +362,11 @@ fn check(s: &Scenario) -> Result<(), TestCaseError> {
     let (p, d) = (&s.programs, &s.data);
 
     let got = rig.bus.gather(p, d);
-    let want = ref_gather(&rig, p, d).map(|(g, _)| g);
+    let want = ref_gather(&rig, p, d);
     prop_assert_eq!(
         got.as_ref().map(gather_view),
         want.as_ref().map(gather_view),
         "gather"
-    );
-
-    let got = rig.bus.transact(p, d);
-    let want = ref_transact(&rig, p, d);
-    prop_assert_eq!(
-        got.as_ref().map(transact_view),
-        want.as_ref().map(transact_view),
-        "transact"
     );
 
     let got = rig.bus.scatter(p, &s.burst);
@@ -457,7 +394,7 @@ fn sweep_matches_event_replay_in_every_failure_mode() {
     // right, or the differential test above proves little: check a fixed
     // set of scenarios and count the failure modes among them.
     let (mut ok, mut two_way, mut three_way, mut lost, mut underrun) = (0, 0, 0, 0, 0);
-    let (mut dark, mut upstream, mut bad_node, mut short_burst, mut tied) = (0, 0, 0, 0, 0);
+    let (mut bad_node, mut short_burst, mut tied) = (0, 0, 0);
     for seed in 0..512u64 {
         let s = scenario(seed);
         check(&s).unwrap_or_else(|e| panic!("scenario {seed}: {e}"));
@@ -470,18 +407,10 @@ fn sweep_matches_event_replay_in_every_failure_mode() {
             },
             Err(BusError::DataUnderrun { .. }) => underrun += 1,
             Err(BusError::BadNode { .. }) => bad_node += 1,
-            Err(e) => panic!("gather cannot fail with {e}"),
         }
         if s.bus_nodes >= s.programs.len() {
             lost += usize::from(loses_wavefronts(&s, &rig));
             tied += usize::from(ties_on_a_wavefront(&s, &rig));
-        }
-        match ref_transact(&rig, &s.programs, &s.data) {
-            Err(BusError::Unreachable {
-                driver: usize::MAX, ..
-            }) => dark += 1,
-            Err(BusError::Unreachable { .. }) => upstream += 1,
-            _ => {}
         }
         if let Err(BusError::DataUnderrun { .. }) = ref_scatter(&rig, &s.programs, &s.burst) {
             short_burst += 1;
@@ -494,8 +423,6 @@ fn sweep_matches_event_replay_in_every_failure_mode() {
         ("wavefronts lost before slot 0", lost),
         ("same-instant claims on a wavefront", tied),
         ("gather underruns", underrun),
-        ("dark-slot listens", dark),
-        ("upstream listens", upstream),
         ("oversized CP sets", bad_node),
         ("short scatter bursts", short_burst),
     ] {

@@ -9,18 +9,11 @@
 //!
 //! * [`sample`] — FFT samples on the wire: the 64-bit `S_s` format
 //!   (32-bit real + 32-bit imaginary halves).
-//! * [`node`] — the Fig. 7 processing element: Data Memory, Execution Unit
-//!   (timed at the paper's 2 ns/multiply), Computation & Communication
-//!   Instruction Memories, and the Waveguide Interface with its dual-clock
-//!   FIFOs.
+//! * [`node`] — the Fig. 7 processing element: Data Memory and Execution
+//!   Unit (timed at the paper's 2 ns/multiply).
 //! * [`head`] — the Head Node: "a processor that understands the memory
 //!   layout and performs requests to the memory such that data is streamed
 //!   out on the SCA⁻¹ waveguide", backed by the [`memory`] DRAM model.
-//! * [`chain`] — CP chains: communication programs and code delivered over
-//!   the SCA⁻¹ interleaved with data (§IV).
-//! * [`isa`] — the Computation Program ISA: butterfly-level instructions
-//!   compiled into the Computation Instruction Memory and interpreted by
-//!   the Execution Unit, with multiply counts measured by execution.
 //! * [`model2`] — Model II (blocked, overlapped) delivery, the paper's
 //!   noted improvement over the Model I runs of §VI.
 //! * [`machine`] — the whole machine: PSCAN + nodes + head node + DRAM;
@@ -36,12 +29,9 @@
 //!   gather/scatter phase schedules through head-node DRAM, with real
 //!   payload data and semantics checked end to end.
 
-pub mod chain;
-pub mod codegen;
 pub mod collectives;
 pub mod fft_app;
 pub mod head;
-pub mod isa;
 pub mod machine;
 pub mod model2;
 pub mod node;

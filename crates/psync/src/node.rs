@@ -7,11 +7,11 @@
 //!
 //! The Execution Unit computes *real* FFT numerics (via the [`fft`] crate)
 //! and accounts time at the paper's rate (2 ns per floating-point multiply,
-//! 4 multiplies per butterfly). The Waveguide Interface's dual-clock FIFO is
-//! sized with [`pscan::fifo::required_depth`] during machine assembly.
+//! 4 multiplies per butterfly). A node's Communication Programs are not
+//! stored here: [`pscan::network::Pscan`] compiles each phase's CPs from
+//! its gather or scatter spec.
 
 use fft::{Complex64, Radix2Plan};
-use pscan::cp::CommProgram;
 use serde::Serialize;
 
 /// Execution-unit timing parameters.
@@ -34,8 +34,6 @@ pub struct Node {
     pub id: usize,
     /// Local data memory (samples).
     pub data: Vec<Complex64>,
-    /// Communication Instruction Memory: the currently loaded CP.
-    pub comm_program: CommProgram,
     /// Execution-unit parameters.
     pub exec: ExecParams,
     /// Accumulated compute time in nanoseconds.
@@ -50,16 +48,10 @@ impl Node {
         Node {
             id,
             data: Vec::new(),
-            comm_program: CommProgram::empty(),
             exec,
             compute_ns: 0.0,
             multiplies: 0,
         }
-    }
-
-    /// Load a communication program (normally arrives via a CP chain).
-    pub fn load_cp(&mut self, cp: CommProgram) {
-        self.comm_program = cp;
     }
 
     /// Load data memory (normally arrives via SCA⁻¹ delivery).
@@ -91,17 +83,6 @@ impl Node {
     /// consumes it in CP order).
     pub fn take_data(&mut self) -> Vec<Complex64> {
         std::mem::take(&mut self.data)
-    }
-
-    /// Execute a compiled Computation Program (Fig. 7's Computation
-    /// Instruction Memory path) against the data memory. Returns the
-    /// compute time in ns for this run.
-    pub fn run_program(&mut self, prog: &crate::isa::CompProgram) -> f64 {
-        let stats = prog.execute(&mut self.data);
-        self.multiplies += stats.multiplies;
-        let t = stats.time_ns(self.exec.mult_ns);
-        self.compute_ns += t;
-        t
     }
 }
 
@@ -147,28 +128,6 @@ mod tests {
         let d = n.take_data();
         assert_eq!(d.len(), 4);
         assert!(n.data.is_empty());
-    }
-
-    #[test]
-    fn isa_path_equals_library_path() {
-        // The same row FFT via the Computation Program interpreter and via
-        // the direct library call: identical numerics, identical multiply
-        // accounting.
-        let row: Vec<Complex64> = (0..32)
-            .map(|i| Complex64::new(i as f64 * 0.1, -(i as f64) * 0.2))
-            .collect();
-        let mut via_lib = Node::new(0, ExecParams::default());
-        via_lib.load_data(row.clone());
-        let t_lib = via_lib.fft_rows(32);
-
-        let mut via_isa = Node::new(1, ExecParams::default());
-        via_isa.load_data(row);
-        let prog = crate::isa::compile_fft(32);
-        let t_isa = via_isa.run_program(&prog);
-
-        assert!((t_lib - t_isa).abs() < 1e-9);
-        assert_eq!(via_lib.multiplies, via_isa.multiplies);
-        assert!(max_error(&via_lib.data, &via_isa.data) < 1e-12);
     }
 
     #[test]

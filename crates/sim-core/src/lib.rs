@@ -8,8 +8,8 @@
 //! * [`time`] — a picosecond-resolution simulated-time type ([`time::Time`])
 //!   with exact integer arithmetic, so photonic flight times (fractions of a
 //!   nanosecond) and electronic cycle times compose without rounding drift.
-//! * [`stats`] — counters, histograms and time-weighted averages used to
-//!   report utilization, latency and energy.
+//! * [`stats`] — the fixed-bucket latency [`stats::Histogram`] the mesh
+//!   records packet latencies into.
 //! * [`rng`] — seeded, reproducible random-number helpers.
 //! * [`faults`] — deterministic fault injection: seeded per-component fault
 //!   sites and pre-generated fault schedules, zero-cost when disabled.
@@ -43,22 +43,20 @@ pub mod rng;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod vcd;
 
 pub use cancel::{CancelCause, CancelToken, CancelWatch, Deadline, Interrupt};
 pub use collective::Collective;
 pub use faults::{FaultEvent, FaultKind, FaultSchedule, FaultSite, FaultStats};
-pub use stats::{Counter, Histogram, TimeWeighted};
+pub use stats::Histogram;
 pub use telemetry::{Registry, SeriesHistogram, TraceEvent};
 pub use time::{Duration, Time};
-pub use vcd::VcdWriter;
 
 /// Canonical public surface of `sim-core`, for glob import:
 /// `use sim_core::prelude::*;`.
 pub mod prelude {
     pub use crate::cancel::{CancelCause, CancelToken, CancelWatch, Deadline, Interrupt};
     pub use crate::faults::{FaultEvent, FaultKind, FaultSchedule, FaultSite, FaultStats};
-    pub use crate::stats::{Counter, Histogram, TimeWeighted};
+    pub use crate::stats::Histogram;
     pub use crate::telemetry::{Registry, SeriesHistogram, TraceEvent};
     pub use crate::time::{Duration, Time};
 }

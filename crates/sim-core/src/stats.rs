@@ -1,33 +1,10 @@
-//! Measurement plumbing: counters, histograms and time-weighted averages.
+//! Measurement plumbing: the fixed-bucket latency histogram.
 //!
-//! Simulators in this workspace report utilization, latency distributions and
-//! energy through these types so that the bench harness can print table rows
-//! uniformly.
+//! [`Histogram`] is what the mesh records per-packet latencies into (see
+//! `emesh::mesh::Mesh::track_latency`); its `Debug` form is part of the
+//! pinned executor observables.
 
 use serde::Serialize;
-
-use crate::time::{Duration, Time};
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Increment by one.
-    pub fn bump(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increment by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
 
 /// Fixed-bucket histogram of `u64` samples (e.g. latencies in cycles).
 ///
@@ -118,84 +95,9 @@ impl Histogram {
     }
 }
 
-/// Time-weighted running average of a piecewise-constant quantity, such as
-/// queue occupancy or link utilization.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct TimeWeighted {
-    last_change: Time,
-    current: f64,
-    weighted_sum: f64,
-    start: Time,
-}
-
-impl TimeWeighted {
-    /// Start tracking at `start` with initial value `value`.
-    pub fn new(start: Time, value: f64) -> Self {
-        TimeWeighted {
-            last_change: start,
-            current: value,
-            weighted_sum: 0.0,
-            start,
-        }
-    }
-
-    /// Record that the quantity changed to `value` at time `now`.
-    pub fn set(&mut self, now: Time, value: f64) {
-        let dt = now.since(self.last_change);
-        self.weighted_sum += self.current * dt.as_ps() as f64;
-        self.current = value;
-        self.last_change = now;
-    }
-
-    /// Time-weighted mean over `[start, now]`.
-    pub fn mean(&self, now: Time) -> f64 {
-        let dt_tail = now.since(self.last_change);
-        let total = now.since(self.start);
-        if total == Duration::ZERO {
-            return self.current;
-        }
-        (self.weighted_sum + self.current * dt_tail.as_ps() as f64) / total.as_ps() as f64
-    }
-}
-
-/// Utilization accumulator: fraction of elapsed time a resource was busy.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct BusyTime {
-    busy: Duration,
-}
-
-impl BusyTime {
-    /// Record `d` of busy time.
-    pub fn add(&mut self, d: Duration) {
-        self.busy += d;
-    }
-
-    /// Busy fraction of the window `total`; zero-length windows report 0.
-    pub fn utilization(&self, total: Duration) -> f64 {
-        if total == Duration::ZERO {
-            0.0
-        } else {
-            self.busy.as_ps() as f64 / total.as_ps() as f64
-        }
-    }
-
-    /// Accumulated busy time.
-    pub fn busy(&self) -> Duration {
-        self.busy
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_bumps() {
-        let mut c = Counter::default();
-        c.bump();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn histogram_mean_min_max() {
@@ -236,23 +138,5 @@ mod tests {
         assert_eq!(h.mean(), None);
         assert_eq!(h.min(), None);
         assert_eq!(h.quantile(0.5), None);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new(Time::ZERO, 0.0);
-        tw.set(Time::from_ps(10), 1.0); // 0 for 10 ps
-        tw.set(Time::from_ps(30), 0.0); // 1 for 20 ps
-        let mean = tw.mean(Time::from_ps(40)); // 0 for 10 ps
-        assert!((mean - 0.5).abs() < 1e-12, "mean was {mean}");
-    }
-
-    #[test]
-    fn busy_time_utilization() {
-        let mut b = BusyTime::default();
-        b.add(Duration::from_ps(25));
-        b.add(Duration::from_ps(25));
-        assert!((b.utilization(Duration::from_ps(100)) - 0.5).abs() < 1e-12);
-        assert_eq!(b.utilization(Duration::ZERO), 0.0);
     }
 }

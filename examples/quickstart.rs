@@ -1,5 +1,6 @@
-//! Quickstart: build a PSCAN, run the paper's Fig. 4 interleave, and watch
-//! two spatially separate processors splice a burst in flight.
+//! Quickstart: build a PSCAN, run the paper's Fig. 4 interleave, and check
+//! that two spatially separate processors splice one gap-free burst in
+//! flight.
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -46,12 +47,4 @@ fn main() {
     );
     assert_eq!(burst, vec![0xA, 0xB, 0xC, 0xD, 0xE, 0xF]);
     println!("\nThe receiver saw one gap-free six-cycle burst, \"as if from a single source\".");
-
-    // Regenerate the paper's Fig. 4 timing diagram from the simulation:
-    // what a probe at each tap position sees on the data wavelength.
-    println!("\nFig. 4 waveforms (slot-aligned; digit = modulating node, '.' = dark carrier):");
-    println!("  clk {}", pscan::trace::clock_lane(6));
-    for w in pscan::trace::render_waveforms(pscan.bus(), &cps, &[0, 1, 2], 6) {
-        println!("  {}  {}", w.label, w.lanes);
-    }
 }

@@ -39,7 +39,6 @@ BINS = [
     "crosscheck_models",
     "fig11_efficiency",
     "fig13_scaling",
-    "fig14_reorg",
     "fig5_energy",
     "full_matrix",
     "perf_mesh",
