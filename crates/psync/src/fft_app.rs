@@ -11,6 +11,7 @@
 //! 64-bit wire format's f32 quantization.
 
 use fft::fft2d::Matrix;
+use memory::DramStats;
 use pscan::compiler::{GatherSpec, ScatterSpec};
 use serde::Serialize;
 
@@ -30,6 +31,8 @@ pub struct Fft2dRun {
     pub transpose_bus_slots: u64,
     /// Compute fraction of total runtime (an efficiency measure).
     pub compute_fraction: f64,
+    /// Head-node DRAM statistics over the whole run.
+    pub dram: DramStats,
 }
 
 /// Phase-name constants.
@@ -159,6 +162,7 @@ pub fn run_fft2d(procs: usize, input: &Matrix) -> Fft2dRun {
         total_seconds,
         transpose_bus_slots,
         compute_fraction: compute_ns * 1e-9 / total_seconds,
+        dram: m.head.dram_stats(),
         phases: m.phases,
     }
 }
