@@ -49,12 +49,11 @@ impl Bank {
         (done, outcome)
     }
 
-    /// Explicitly close the open row (e.g. refresh), paying precharge.
-    pub fn precharge(&mut self, cfg: &DramConfig, now: u64) -> u64 {
-        let start = now.max(self.ready_at);
-        self.open_row = None;
-        self.ready_at = start + cfg.t_precharge;
-        self.ready_at
+    /// Keep the open row and stay busy until `done`: the state back-to-back
+    /// hits on the open row leave, the last of them completing at `done`.
+    pub(crate) fn extend_open_row(&mut self, done: u64) {
+        debug_assert!(self.open_row.is_some() && done >= self.ready_at);
+        self.ready_at = done;
     }
 
     /// Currently open row.
@@ -112,17 +111,6 @@ mod tests {
         let (t2, out) = b.access(&cfg, 0, 5, 1);
         assert_eq!(out, RowOutcome::Hit);
         assert_eq!(t2, t1 + cfg.t_cas + 1);
-    }
-
-    #[test]
-    fn precharge_closes_row() {
-        let cfg = DramConfig::default();
-        let mut b = Bank::default();
-        b.access(&cfg, 0, 5, 1);
-        b.precharge(&cfg, 100);
-        assert_eq!(b.open_row(), None);
-        let (_, out) = b.access(&cfg, 200, 5, 1);
-        assert_eq!(out, RowOutcome::Miss);
     }
 
     #[test]

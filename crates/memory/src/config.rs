@@ -52,40 +52,10 @@ impl DramConfig {
         }
     }
 
-    /// Set the bank count.
-    #[must_use]
-    pub fn with_banks(mut self, banks: usize) -> Self {
-        self.banks = banks;
-        self
-    }
-
     /// Set the row size in bits (`S_r`).
     #[must_use]
     pub fn with_row_bits(mut self, row_bits: u64) -> Self {
         self.row_bits = row_bits;
-        self
-    }
-
-    /// Set the data bus width in bits (`S_b`).
-    #[must_use]
-    pub fn with_bus_bits(mut self, bus_bits: u64) -> Self {
-        self.bus_bits = bus_bits;
-        self
-    }
-
-    /// Set the row timing triple (tRCD, tRP, tCAS).
-    #[must_use]
-    pub fn with_row_timing(mut self, t_activate: u64, t_precharge: u64, t_cas: u64) -> Self {
-        self.t_activate = t_activate;
-        self.t_precharge = t_precharge;
-        self.t_cas = t_cas;
-        self
-    }
-
-    /// Set the cycles per bus beat.
-    #[must_use]
-    pub fn with_t_beat(mut self, t_beat: u64) -> Self {
-        self.t_beat = t_beat;
         self
     }
 

@@ -125,10 +125,31 @@ impl DramController {
 
     /// Access a contiguous run of `n` words starting at `word_addr`,
     /// arriving at `now`. Returns the completion cycle of the last word.
+    ///
+    /// Costs exactly what `n` chained [`Self::access`] calls cost, one DRAM
+    /// row at a time: the row's first word goes through `access`, which
+    /// leaves the row open and the bank and bus free at its completion, so
+    /// each further word of the row is a row hit starting at the previous
+    /// word's completion and costs `t_cas + beats·t_beat`.
     pub fn access_burst(&mut self, now: u64, word_addr: u64, n: u64, kind: AccessKind) -> u64 {
-        let mut t = now;
-        for i in 0..n {
-            t = self.access(t, word_addr + i, kind);
+        let beats = self.map.word_bits.div_ceil(self.cfg.bus_bits);
+        let per_hit = self.cfg.t_cas + beats * self.cfg.t_beat;
+        let wpr = self.map.words_per_row();
+        let (mut t, mut addr, end) = (now, word_addr, word_addr + n);
+        while addr < end {
+            let row_end = end.min((addr / wpr + 1) * wpr);
+            t = self.access(t, addr, kind);
+            let hits = row_end - addr - 1;
+            if hits > 0 {
+                t += hits * per_hit;
+                self.banks[self.map.decode(addr).bank].extend_open_row(t);
+                self.bus_free_at = t;
+                self.stats.accesses += hits;
+                self.stats.hits += hits;
+                self.stats.beats += hits * beats;
+                self.stats.last_done = self.stats.last_done.max(t);
+            }
+            addr = row_end;
         }
         t
     }

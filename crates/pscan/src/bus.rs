@@ -16,18 +16,23 @@
 //!   a single source".
 //!
 //! Every observable therefore follows from slot indices, and the simulator
-//! needs no event queue. Each operation is one linear sweep over the CPs'
-//! runs, in node order:
+//! needs no event queue. Each operation is one pass over the CPs' runs, in
+//! node order, and works per run rather than per word:
 //!
-//! * a gather records each wavefront's earliest claim — modulation instant,
-//!   then scheduling order — and reports the earliest *losing* claim as the
-//!   collision, which is the one a replay of all modulations in time order
-//!   would hit first; arrival times are the closed forms above for the
-//!   lowest and highest owned wavefront;
+//! * a gather makes one ownership pass. A node's timing error shifts each
+//!   of its `Drive` runs by the same number of wavefronts; slots shifted
+//!   before wavefront 0 are clipped (lost, words and all), and the rest of
+//!   the run is copied onto its wavefronts when none of them is owned yet.
+//!   Arrival times are the closed forms above for the lowest and highest
+//!   owned wavefront. A run that lands on an owned wavefront is a
+//!   collision, and only then are claims resolved one by one: each
+//!   wavefront keeps its earliest claim — modulation instant, then
+//!   scheduling order — and the earliest *losing* claim is reported, the
+//!   one a replay of all modulations in time order would hit first;
 //! * a scatter copies each `Listen` run straight out of the burst, and a
 //!   node completes when its tap detects its last wavefront.
 //!
-//! `tests/bus_oracle.rs` checks the sweep against exactly that time-ordered
+//! `tests/bus_oracle.rs` checks both against exactly that time-ordered
 //! replay, on random CP sets with random per-node timing errors.
 
 use photonics::clock::PhotonicClock;
@@ -254,82 +259,50 @@ impl BusSim {
             }
         }
 
-        let mut claims: Vec<Option<Claim>> = vec![None; n_slots];
+        // One ownership pass over each node's Drive runs. A timing error
+        // shifts a whole run by the same number of wavefronts; slots shifted
+        // before wavefront 0 are lost, words and all. A run landing on an
+        // owned wavefront is a collision, resolved claim by claim.
         let mut received: Vec<Option<u64>> = vec![None; n_slots];
         let mut slots_by_node = vec![0u64; programs.len()];
-        // The earliest claim that lost its wavefront: the collision a
-        // time-ordered replay of the modulations would hit first.
-        let mut earliest_loss: Option<(u64, Claim)> = None;
-        let mut seq = 0u64;
         for (node, cp) in programs.iter().enumerate() {
-            // A timing error shifts both the modulation instant and — if it
-            // exceeds ±half a slot — the wavefront imprinted.
             let shift = self.wavefront_shift(node);
-            let slots = runs(cp, CpAction::Drive).flat_map(|e| e.start..e.end());
-            for (slot, &word) in slots.zip(&data[node]) {
-                let Some(w) = slot.checked_add_signed(shift) else {
-                    continue; // light fell before wavefront 0: lost
+            let mut words = data[node].as_slice();
+            for e in runs(cp, CpAction::Drive) {
+                let (run, rest) = words.split_at(e.len as usize);
+                words = rest;
+                let lost = if shift < 0 {
+                    shift.unsigned_abs().saturating_sub(e.start).min(e.len)
+                } else {
+                    0
                 };
-                let claim = Claim {
-                    at: self.modulation_time(node, slot),
-                    seq,
-                    node,
+                let Some(first) = (e.start + lost).checked_add_signed(shift) else {
+                    continue; // the whole run fell before wavefront 0
                 };
-                seq += 1;
-                let cell = &mut claims[w as usize];
-                let lost = match *cell {
-                    None => {
-                        *cell = Some(claim);
-                        received[w as usize] = Some(word);
-                        slots_by_node[node] += 1;
-                        continue;
-                    }
-                    Some(held) if claim.key() < held.key() => {
-                        *cell = Some(claim);
-                        received[w as usize] = Some(word);
-                        held
-                    }
-                    Some(_) => claim,
-                };
-                if earliest_loss.is_none_or(|(_, l)| lost.key() < l.key()) {
-                    earliest_loss = Some((w, lost));
+                let first = first as usize;
+                let run = &run[lost as usize..];
+                let dst = &mut received[first..first + run.len()];
+                if dst.iter().any(Option::is_some) {
+                    return Err(self.collision(programs, n_slots));
                 }
+                for (slot, &word) in dst.iter_mut().zip(run) {
+                    *slot = Some(word);
+                }
+                slots_by_node[node] += run.len() as u64;
             }
-        }
-        if let Some((slot, second)) = earliest_loss {
-            let first = claims[slot as usize].expect("a contested wavefront has a winner");
-            return Err(BusError::Collision {
-                slot,
-                first: first.node,
-                second: second.node,
-            });
         }
 
         // Bus-slot exclusivity accounting (DESIGN.md §12): per-node tallies
-        // partition the owned wavefronts, and word occupancy mirrors
-        // ownership slot-for-slot.
-        if sim_core::invariants::ENABLED {
-            let mut tally = vec![0u64; programs.len()];
-            for c in claims.iter().flatten() {
-                tally[c.node] += 1;
-            }
-            invariant!(
-                tally == slots_by_node,
-                "bus-slot exclusivity: per-node slot tallies do not partition the owned set"
-            );
-            invariant!(
-                claims
-                    .iter()
-                    .zip(&received)
-                    .all(|(c, w)| c.is_some() == w.is_some()),
-                "bus-slot exclusivity: slot owned without a word (or vice versa)"
-            );
-        }
+        // partition the owned wavefronts.
+        let owned: u64 = slots_by_node.iter().sum();
+        invariant!(
+            owned == received.iter().filter(|w| w.is_some()).count() as u64,
+            "bus-slot exclusivity: per-node slot tallies do not partition the owned set"
+        );
 
         // Wavefronts reach the terminus in slot order, one period apart: the
         // burst starts with the lowest owned wavefront and ends with the
         // highest.
-        let owned: u64 = slots_by_node.iter().sum();
         let lo = received.iter().position(Option::is_some);
         let hi = received.iter().rposition(Option::is_some);
         let (first_arrival, last_arrival, utilization) = match (lo, hi) {
@@ -349,6 +322,56 @@ impl BusSim {
             utilization,
             slots_by_node,
         })
+    }
+
+    /// The collision a gather that failed its ownership pass reports.
+    ///
+    /// Resolves every claim: each wavefront keeps its earliest claim
+    /// (modulation instant, then scheduling order), and the earliest
+    /// *losing* claim — the collision a time-ordered replay of the
+    /// modulations would hit first — is reported against that wavefront's
+    /// winner.
+    fn collision(&self, programs: &[CommProgram], n_slots: usize) -> BusError {
+        let mut claims: Vec<Option<Claim>> = vec![None; n_slots];
+        let mut earliest_loss: Option<(u64, Claim)> = None;
+        let mut seq = 0u64;
+        for (node, cp) in programs.iter().enumerate() {
+            let shift = self.wavefront_shift(node);
+            let slots = runs(cp, CpAction::Drive).flat_map(|e| e.start..e.end());
+            for slot in slots {
+                let Some(w) = slot.checked_add_signed(shift) else {
+                    continue; // light fell before wavefront 0: lost
+                };
+                let claim = Claim {
+                    at: self.modulation_time(node, slot),
+                    seq,
+                    node,
+                };
+                seq += 1;
+                let cell = &mut claims[w as usize];
+                let lost = match *cell {
+                    None => {
+                        *cell = Some(claim);
+                        continue;
+                    }
+                    Some(held) if claim.key() < held.key() => {
+                        *cell = Some(claim);
+                        held
+                    }
+                    Some(_) => claim,
+                };
+                if earliest_loss.is_none_or(|(_, l)| lost.key() < l.key()) {
+                    earliest_loss = Some((w, lost));
+                }
+            }
+        }
+        let (slot, second) = earliest_loss.expect("the ownership pass found a contested wavefront");
+        let first = claims[slot as usize].expect("a contested wavefront has a winner");
+        BusError::Collision {
+            slot,
+            first: first.node,
+            second: second.node,
+        }
     }
 
     /// Execute an SCA⁻¹ scatter: the head node (at the bus origin, upstream

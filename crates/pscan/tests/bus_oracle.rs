@@ -6,7 +6,8 @@
 //! events by `(time, scheduling order)` and replays them one at a time,
 //! stopping at the first modulation that lands on an already-owned
 //! wavefront. Random CP sets with random per-node timing errors — two- and
-//! three-way collisions, drift gaps, wavefronts lost before slot 0,
+//! three-way collisions, collisions in the middle of a Drive run, drift
+//! gaps, wavefronts lost before slot 0 (whole runs and parts of runs),
 //! underruns, short scatter bursts — must give the same outcome or the same
 //! error value from both.
 
@@ -251,13 +252,21 @@ fn scenario(seed: u64) -> Scenario {
         _ => nodes + rng.below(2) as usize,
     };
     let n_slots = 4 + rng.below(21) as usize;
-    // In "contended" scenarios a slot may get up to three drivers.
+    // In "contended" scenarios a slot may get up to three drivers. Drivers
+    // are drawn once per block of up to four slots, so Drive runs span
+    // several slots and can be partly lost or collide mid-run.
     let contended = rng.below(3) == 0;
+    let block = 1 + rng.below(4) as usize;
     let mut actions = vec![vec![None; n_slots]; nodes];
+    let mut drivers = Vec::new();
     for slot in 0..n_slots {
-        let extra = if contended { rng.below(3) } else { 0 };
-        for _ in 0..=extra {
-            let driver = rng.below(nodes as u64 + 1) as usize;
+        if slot % block == 0 {
+            let extra = if contended { rng.below(3) } else { 0 };
+            drivers = (0..=extra)
+                .map(|_| rng.below(nodes as u64 + 1) as usize)
+                .collect();
+        }
+        for &driver in &drivers {
             if driver < nodes {
                 actions[driver][slot] = Some(CpAction::Drive);
             }
@@ -356,6 +365,53 @@ fn loses_wavefronts(s: &Scenario, rig: &Rig) -> bool {
     })
 }
 
+/// The wavefronts each Drive run of node `node` imprints, one vector per
+/// run, `None` for a slot lost before wavefront 0.
+fn run_wavefronts(s: &Scenario, rig: &Rig, node: NodeId) -> Vec<Vec<Option<u64>>> {
+    s.programs[node]
+        .entries()
+        .iter()
+        .filter(|e| e.action == CpAction::Drive)
+        .map(|e| {
+            (e.start..e.end())
+                .map(|slot| rig.imprinted(node, slot))
+                .collect()
+        })
+        .collect()
+}
+
+/// Whether some multi-slot Drive run of `s` loses its first slots before
+/// wavefront 0 but imprints the rest.
+fn loses_part_of_a_run(s: &Scenario, rig: &Rig) -> bool {
+    (0..s.programs.len()).any(|node| {
+        run_wavefronts(s, rig, node)
+            .iter()
+            .any(|run| run[0].is_none() && run.last().is_some_and(Option::is_some))
+    })
+}
+
+/// Whether some Drive run of `s` imprints its first surviving wavefront
+/// clear of every lower-numbered node, but lands on a wavefront one of
+/// them drives later in the run: a node-order pass meets that collision
+/// in the middle of the run.
+fn collides_mid_run(s: &Scenario, rig: &Rig) -> bool {
+    let claimed_before = |node: NodeId, w: u64| {
+        (0..node).any(|other| {
+            run_wavefronts(s, rig, other)
+                .iter()
+                .flatten()
+                .any(|&x| x == Some(w))
+        })
+    };
+    (0..s.programs.len()).any(|node| {
+        run_wavefronts(s, rig, node).iter().any(|run| {
+            let mut ws = run.iter().flatten();
+            ws.next().is_some_and(|&w| !claimed_before(node, w))
+                && ws.any(|&w| claimed_before(node, w))
+        })
+    })
+}
+
 /// Compare the sweep with the reference on every entry point.
 fn check(s: &Scenario) -> Result<(), TestCaseError> {
     let rig = Rig::new(s.bus_nodes, &s.errors);
@@ -395,21 +451,26 @@ fn sweep_matches_event_replay_in_every_failure_mode() {
     // set of scenarios and count the failure modes among them.
     let (mut ok, mut two_way, mut three_way, mut lost, mut underrun) = (0, 0, 0, 0, 0);
     let (mut bad_node, mut short_burst, mut tied) = (0, 0, 0);
+    let (mut partly_lost, mut mid_run) = (0, 0);
     for seed in 0..512u64 {
         let s = scenario(seed);
         check(&s).unwrap_or_else(|e| panic!("scenario {seed}: {e}"));
         let rig = Rig::new(s.bus_nodes, &s.errors);
         match ref_gather(&rig, &s.programs, &s.data) {
             Ok(_) => ok += 1,
-            Err(BusError::Collision { .. }) => match max_claims(&s, &rig) {
-                2 => two_way += 1,
-                _ => three_way += 1,
-            },
+            Err(BusError::Collision { .. }) => {
+                match max_claims(&s, &rig) {
+                    2 => two_way += 1,
+                    _ => three_way += 1,
+                }
+                mid_run += usize::from(collides_mid_run(&s, &rig));
+            }
             Err(BusError::DataUnderrun { .. }) => underrun += 1,
             Err(BusError::BadNode { .. }) => bad_node += 1,
         }
         if s.bus_nodes >= s.programs.len() {
             lost += usize::from(loses_wavefronts(&s, &rig));
+            partly_lost += usize::from(loses_part_of_a_run(&s, &rig));
             tied += usize::from(ties_on_a_wavefront(&s, &rig));
         }
         if let Err(BusError::DataUnderrun { .. }) = ref_scatter(&rig, &s.programs, &s.burst) {
@@ -421,6 +482,8 @@ fn sweep_matches_event_replay_in_every_failure_mode() {
         ("two-way collisions", two_way),
         ("three-way collisions", three_way),
         ("wavefronts lost before slot 0", lost),
+        ("Drive runs partly lost before slot 0", partly_lost),
+        ("collisions in the middle of a Drive run", mid_run),
         ("same-instant claims on a wavefront", tied),
         ("gather underruns", underrun),
         ("oversized CP sets", bad_node),

@@ -40,13 +40,18 @@ impl HeadNode {
 
     /// Stream `addrs` out of DRAM in order, producing the SCA⁻¹ burst.
     /// Returns `(burst, dram_cycles_for_this_stream)`.
+    ///
+    /// Each maximal run of consecutive addresses is costed as one
+    /// [`DramController::access_burst`], which costs exactly what the run's
+    /// per-word accesses would.
     pub fn stream_out(&mut self, addrs: impl IntoIterator<Item = u64>) -> (Vec<u64>, u64) {
+        let addrs = addrs.into_iter();
+        let mut burst = Vec::with_capacity(addrs.size_hint().0);
         let start = self.cycles;
-        let mut burst = Vec::new();
         let mut t = start;
-        for a in addrs {
-            t = self.dram.access(t, a, AccessKind::Read);
-            burst.push(self.store[a as usize]);
+        for (a, n) in runs(addrs) {
+            t = self.dram.access_burst(t, a, n, AccessKind::Read);
+            burst.extend_from_slice(&self.store[a as usize..(a + n) as usize]);
         }
         self.cycles = t;
         (burst, t - start)
@@ -54,12 +59,19 @@ impl HeadNode {
 
     /// Absorb an SCA gather: write `words` to consecutive addresses given
     /// by `addrs`, in arrival order. Returns DRAM cycles consumed.
+    ///
+    /// Costed per run of consecutive addresses, as in
+    /// [`HeadNode::stream_out`].
     pub fn stream_in(&mut self, addrs_words: impl IntoIterator<Item = (u64, u64)>) -> u64 {
+        let store = &mut self.store;
+        let addrs = addrs_words.into_iter().map(|(a, w)| {
+            store[a as usize] = w;
+            a
+        });
         let start = self.cycles;
         let mut t = start;
-        for (a, w) in addrs_words {
-            t = self.dram.access(t, a, AccessKind::Write);
-            self.store[a as usize] = w;
+        for (a, n) in runs(addrs) {
+            t = self.dram.access_burst(t, a, n, AccessKind::Write);
         }
         self.cycles = t;
         t - start
@@ -69,6 +81,20 @@ impl HeadNode {
     pub fn dram_stats(&self) -> DramStats {
         self.dram.stats()
     }
+}
+
+/// The maximal runs of consecutive addresses in `addrs`, as `(first, len)`
+/// pairs in stream order.
+fn runs(addrs: impl Iterator<Item = u64>) -> impl Iterator<Item = (u64, u64)> {
+    let mut addrs = addrs.peekable();
+    std::iter::from_fn(move || {
+        let first = addrs.next()?;
+        let mut len = 1;
+        while addrs.next_if_eq(&(first + len)).is_some() {
+            len += 1;
+        }
+        Some((first, len))
+    })
 }
 
 #[cfg(test)]

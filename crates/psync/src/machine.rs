@@ -440,13 +440,16 @@ impl Machine {
                 }
             }
         };
-        if let Some(slot) = out.received.iter().position(|w| w.is_none()) {
-            return Err(MachineError::GatherUnderrun {
-                slot,
-                utilization_ppm: (out.utilization * 1e6).round() as u64,
-            });
+        let mut words = Vec::with_capacity(out.received.len());
+        for (slot, &w) in out.received.iter().enumerate() {
+            let Some(w) = w else {
+                return Err(MachineError::GatherUnderrun {
+                    slot,
+                    utilization_ppm: (out.utilization * 1e6).round() as u64,
+                });
+            };
+            words.push(w);
         }
-        let words: Vec<u64> = out.received.iter().map(|w| w.unwrap()).collect();
         let dram_cycles = self
             .head
             .stream_in(addrs.iter().copied().zip(words.iter().copied()));
