@@ -37,7 +37,7 @@ pub fn psync_efficiency(params: &FftParams, k: u64, flight_ns: f64) -> f64 {
 }
 
 /// Generate the Fig. 11 curves over the given k values.
-pub fn fig11_curves_with(params: &FftParams, ks: &[u64], flight_ns: f64) -> Vec<Fig11Point> {
+pub(crate) fn fig11_curves_with(params: &FftParams, ks: &[u64], flight_ns: f64) -> Vec<Fig11Point> {
     ks.iter()
         .map(|&k| {
             let ideal = params.efficiency_zero_latency(k);

@@ -22,12 +22,9 @@
 //!   (Eqs. 23–24; exactly 1,081,344 bus cycles for the 2²⁰-sample case)
 //!   and the paper's reported mesh multipliers for comparison.
 //! * [`fig11`] — the efficiency-vs-k curves for the mesh and P-sync.
-//! * [`crossover`] — inversions of the models: the k a bandwidth budget
-//!   sustains, the bandwidth an efficiency target needs, the mesh knee.
 //! * [`surrogate`] — the closed forms repackaged as drop-in surrogates for
 //!   the cycle-accurate fabrics (the multi-fidelity engine's fast path).
 
-pub mod crossover;
 pub mod fig11;
 pub mod model;
 pub mod surrogate;
@@ -35,14 +32,13 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 
-pub use crossover::{bandwidth_for_efficiency, best_k_under_bandwidth, mesh_knee};
-pub use fig11::{fig11_curves, Fig11Point};
+pub use fig11::fig11_curves;
 pub use model::{FftParams, ModelIi};
 pub use surrogate::{
-    mesh_scatter_cycles, model2_point, table3_writeback_cycles, Model2Point, Model2TimingParams,
+    mesh_scatter_cycles, model2_point, table3_writeback_cycles, Model2TimingParams,
 };
-pub use table1::{table1, Table1Row};
-pub use table2::{table2, Table2Row};
+pub use table1::table1;
+pub use table2::table2;
 pub use table3::{
     table3_pscan_cycles, Table3Params, PAPER_MESH_WRITEBACK_TP1, PAPER_MESH_WRITEBACK_TP4,
 };

@@ -12,10 +12,8 @@
 //! Case 1 (`P·t_dk ≤ t_ck`) is compute-bound; Case 2 is communication-bound;
 //! efficiency peaks at the balance point `P·t_dk = t_ck` (Eq. 19).
 
-use serde::Serialize;
-
 /// Parameters of the Table I / Table II FFT analysis.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FftParams {
     /// Row length in samples (N = 1024).
     pub n: u64,
@@ -96,7 +94,7 @@ impl FftParams {
 }
 
 /// The generalized Model II (Model I is the `k = 1` special case).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ModelIi {
     /// Processor count.
     pub p: u64,
@@ -151,17 +149,19 @@ impl ModelIi {
     pub fn is_compute_bound(&self) -> bool {
         self.p as f64 * self.t_dk <= self.t_ck
     }
-
-    /// The balanced block-delivery time for these compute parameters —
-    /// Eq. (19): `t_dk = t_ck / P`.
-    pub fn balanced_t_dk(&self) -> f64 {
-        self.t_ck / self.p as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ModelIi {
+        /// The balanced block-delivery time for these compute parameters —
+        /// Eq. (19): `t_dk = t_ck / P`.
+        fn balanced_t_dk(&self) -> f64 {
+            self.t_ck / self.p as f64
+        }
+    }
 
     fn close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} vs {b}");

@@ -19,14 +19,12 @@
 //! when the point lies inside a validated region, and attaches that
 //! envelope to the result as an error bar.
 
-use serde::Serialize;
-
 use crate::model::ModelIi;
 use crate::table3::Table3Params;
 
 /// Machine timing the Model II surrogate needs: the paper-default P-sync
 /// machine reduced to three numbers.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Model2TimingParams {
     /// Nanoseconds per floating-point multiply (paper: 2 ns).
     pub mult_ns: f64,
@@ -50,7 +48,7 @@ impl Default for Model2TimingParams {
 }
 
 /// One Model II operating point answered in closed form.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Model2Point {
     /// Eq. 11 total time plus the serial final combine, seconds.
     pub overlapped_seconds: f64,

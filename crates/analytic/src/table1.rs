@@ -25,7 +25,7 @@ pub struct Table1Row {
 pub const TABLE1_K: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 /// Generate Table I for the given parameters (defaults = the paper's).
-pub fn table1_with(params: &FftParams) -> Vec<Table1Row> {
+pub(crate) fn table1_with(params: &FftParams) -> Vec<Table1Row> {
     TABLE1_K
         .iter()
         .map(|&k| Table1Row {

@@ -7,13 +7,11 @@
 //! *falls* afterwards — blocking finer buys compute overlap but drowns in
 //! per-packet routing overhead.
 
-use serde::Serialize;
-
 use crate::model::FftParams;
 use crate::table1::TABLE1_K;
 
 /// One row of Table II.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Table2Row {
     /// Blocks per row, k.
     pub k: u64,
@@ -24,7 +22,7 @@ pub struct Table2Row {
 }
 
 /// Generate Table II for the given parameters.
-pub fn table2_with(params: &FftParams) -> Vec<Table2Row> {
+pub(crate) fn table2_with(params: &FftParams) -> Vec<Table2Row> {
     TABLE1_K
         .iter()
         .map(|&k| Table2Row {
@@ -51,12 +49,12 @@ pub const PAPER_TABLE2: [(u64, f64, f64); 7] = [
     (64, 50.01, 49.70),
 ];
 
-/// The paper's boldfaced peak: k = 8 at ~82 %.
-pub const PAPER_PEAK_K: u64 = 8;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The paper's boldfaced peak: k = 8 at ~82 %.
+    const PAPER_PEAK_K: u64 = 8;
 
     #[test]
     fn reproduces_every_printed_cell() {

@@ -10,10 +10,8 @@
 //! simulator (see the `bench` crate); the constants are kept here so tests
 //! and benches can compare shape.
 
-use serde::Serialize;
-
 /// Parameters of the transpose analysis (defaults = the paper's).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Table3Params {
     /// Row length in samples (N = 1024).
     pub n: u64,

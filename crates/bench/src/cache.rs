@@ -15,7 +15,7 @@
 //! so a batch report can prove which bytes a cache hit handed out.
 //!
 //! Long-running processes (the `psyncd` daemon) can bound memory with
-//! [`ResultCache::with_budget_bytes`]: when the stored result bytes exceed
+//! `ResultCache::with_budget_bytes`: when the stored result bytes exceed
 //! the budget, ready entries are evicted least-recently-used first.
 //! Hit/miss/eviction counters are readable at any time via
 //! [`ResultCache::stats`] (the daemon's `status` verb) and exportable into
@@ -53,9 +53,7 @@ pub fn fingerprint_hex(fp: u64) -> String {
 
 /// One cached result.
 #[derive(Debug)]
-pub struct CacheEntry {
-    /// The config-hash key this entry was stored under.
-    pub key: u64,
+pub(crate) struct CacheEntry {
     /// The exact result bytes a direct run would have written.
     pub result_json: String,
     /// FNV-1a fingerprint of `result_json` — the perf-gate witness.
@@ -123,7 +121,7 @@ impl ResultCache {
     /// being returned by the current lookup is never evicted by its own
     /// insertion, so a single oversized result still caches (until the
     /// next insert pushes it out).
-    pub fn with_budget_bytes(budget: u64) -> Self {
+    pub(crate) fn with_budget_bytes(budget: u64) -> Self {
         ResultCache {
             budget_bytes: budget,
             ..ResultCache::default()
@@ -140,7 +138,7 @@ impl ResultCache {
     /// so a later caller can retry; waiting callers wake and race to become
     /// the next builder. A panic propagates to the caller (where the batch
     /// supervisor's `catch_unwind` turns it into a structured report).
-    pub fn get_or_build<E>(
+    pub(crate) fn get_or_build<E>(
         &self,
         key: u64,
         build: impl FnOnce() -> Result<String, E>,
@@ -196,7 +194,6 @@ impl ResultCache {
         match build() {
             Ok(result_json) => {
                 let entry = Arc::new(CacheEntry {
-                    key,
                     fingerprint: fnv1a64(result_json.as_bytes()),
                     result_json,
                 });

@@ -12,7 +12,7 @@
 //!
 //! Tolerances are per-check and documented in DESIGN.md §12:
 //!
-//! * [`TOL_ALGEBRAIC`] — the Model II machine and Eq. 11 perform the same
+//! * `TOL_ALGEBRAIC` — the Model II machine and Eq. 11 perform the same
 //!   arithmetic on the same inputs in a different association order, so
 //!   they may differ only by f64 rounding accumulated over `k` rounds.
 //! * [`TOL_CLOSED_FORM`] — two closed-form expressions of the same
@@ -41,7 +41,7 @@ use sim_core::cancel::Interrupt;
 use crate::fidelity::{ValidatedRegion, ValidationEnvelope};
 
 /// Same-arithmetic tolerance: cycle-accurate Model II vs Eq. 11.
-pub const TOL_ALGEBRAIC: f64 = 1e-9;
+pub(crate) const TOL_ALGEBRAIC: f64 = 1e-9;
 /// Closed-form-vs-closed-form tolerance (pure f64 round-off).
 pub const TOL_CLOSED_FORM: f64 = 1e-12;
 /// Eq. 21/22 vs the wormhole mesh simulator.

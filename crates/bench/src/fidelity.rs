@@ -14,7 +14,7 @@
 //! Every selection produces a [`FidelityDecision`] naming what was
 //! requested, what was chosen, the envelope attached (if any), and a
 //! human-readable reason — recorded in telemetry
-//! ([`record_decision`]) and embedded in result rows so each number in a
+//! (`record_decision`) and embedded in result rows so each number in a
 //! sweep is auditable back to the validation that authorized it.
 
 use serde::{Serialize, Value};
@@ -23,7 +23,7 @@ use sim_core::telemetry::Registry;
 /// Default Auto-mode envelope ceiling: an analytic answer is acceptable
 /// when its validated envelope is within 50 % — loose enough to admit the
 /// mesh's 35 % Eq. 21 bracket, tight enough to reject an unvalidated model.
-pub const DEFAULT_MAX_ENVELOPE_REL_ERR: f64 = 0.5;
+pub(crate) const DEFAULT_MAX_ENVELOPE_REL_ERR: f64 = 0.5;
 
 /// How a sweep point may be answered.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,7 +43,7 @@ pub enum FidelityPolicy {
 }
 
 impl FidelityPolicy {
-    /// The default policy: Auto at [`DEFAULT_MAX_ENVELOPE_REL_ERR`].
+    /// The default policy: Auto at `DEFAULT_MAX_ENVELOPE_REL_ERR`.
     pub fn auto() -> Self {
         FidelityPolicy::Auto {
             max_envelope_rel_err: DEFAULT_MAX_ENVELOPE_REL_ERR,
@@ -195,7 +195,7 @@ pub struct ValidationRegistry {
 }
 
 /// Schema version of the serialized registry.
-pub const REGISTRY_SCHEMA_VERSION: u32 = 1;
+pub(crate) const REGISTRY_SCHEMA_VERSION: u32 = 1;
 
 impl ValidationRegistry {
     /// The in-code catalog: [`crate::crosscheck::envelope_catalog`] under
@@ -210,7 +210,10 @@ impl ValidationRegistry {
     /// The envelope covering `point`, or a reason string explaining the
     /// miss (no such family, or the nearest same-family region bound the
     /// point violates).
-    pub fn lookup_with_reason(&self, point: &PointConfig) -> Result<&ValidationEnvelope, String> {
+    pub(crate) fn lookup_with_reason(
+        &self,
+        point: &PointConfig,
+    ) -> Result<&ValidationEnvelope, String> {
         let mut last_miss = None;
         for env in &self.envelopes {
             if env.family != point.family {
@@ -240,7 +243,7 @@ impl ValidationRegistry {
     /// # Errors
     /// A message naming the malformed field (the vendored deserializer is
     /// accessor-based, so every field is checked explicitly).
-    pub fn from_json(s: &str) -> Result<Self, String> {
+    pub(crate) fn from_json(s: &str) -> Result<Self, String> {
         let v = serde_json::from_str(s).map_err(|e| format!("registry JSON: {e}"))?;
         let schema = v
             .get("schema")
@@ -284,7 +287,7 @@ pub const REGISTRY_RELATIVE_PATH: &str = "ci/validation_envelopes.json";
 ///
 /// # Errors
 /// The IO failure for the workspace-root path when neither candidate reads.
-pub fn read_committed() -> Result<(String, String), String> {
+pub(crate) fn read_committed() -> Result<(String, String), String> {
     let candidates = [
         REGISTRY_RELATIVE_PATH.to_string(),
         format!(
@@ -444,7 +447,7 @@ pub fn decide(
 /// Record `decision` in `registry` as a labeled counter
 /// (`fidelity.decision{chosen=..,family=..,requested=..}`), so a traced
 /// sweep exposes its fast-path/fallback mix as metrics.
-pub fn record_decision(registry: &Registry, decision: &FidelityDecision) {
+pub(crate) fn record_decision(registry: &Registry, decision: &FidelityDecision) {
     registry.counter_add_labeled(
         "fidelity.decision",
         &[

@@ -3,7 +3,7 @@
 //! daemon (`psyncd`).
 //!
 //! [`JobSpec`] is the one request surface: a versioned
-//! ([`SCHEMA_VERSION`]) enum with one variant per experiment family, each a
+//! (`SCHEMA_VERSION`) enum with one variant per experiment family, each a
 //! spec type implementing [`Family`] (wire name, presets, field overrides,
 //! validation and run):
 //!
@@ -24,7 +24,7 @@
 //!
 //! Every family's result is a deterministic JSON document, which is what
 //! makes the exact result cache ([`crate::cache`]) sound: the cache key is
-//! [`JobSpec::canonical_json`] (plus the deadline bits), and a hit returns
+//! `JobSpec::canonical_json` (plus the deadline bits), and a hit returns
 //! the exact bytes a fresh run would have produced.
 //!
 //! [`supervised_work`] packages a spec as a [`crate::supervisor`] job body
@@ -78,14 +78,14 @@ use crate::supervisor::{JobSuccess, Work, WorkError};
 /// both fabrics) and rectangular/torus geometry fields. Purely additive:
 /// every schema-2 request body still parses (see the
 /// `schema2_requests_still_parse` test), but cache generations must not mix.
-pub const SCHEMA_VERSION: u32 = 3;
+pub(crate) const SCHEMA_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------------
 // The family contract and the JobSpec enum
 // ---------------------------------------------------------------------------
 
 /// What a family's run returns: its rows plus any telemetry registries.
-pub type RunResult<T> = Result<(T, Vec<Registry>), WorkError>;
+pub(crate) type RunResult<T> = Result<(T, Vec<Registry>), WorkError>;
 
 /// One experiment family: a spec type with its wire name, presets, field
 /// overrides, validation and run.
@@ -273,7 +273,7 @@ impl JobSpec {
     /// Canonical JSON for config hashing and the wire: a versioned envelope
     /// with a stable field order, so equal specs always serialize to equal
     /// bytes.
-    pub fn canonical_json(&self) -> String {
+    pub(crate) fn canonical_json(&self) -> String {
         let spec = serde_json::to_string(self.family_impl()).expect("job specs serialize");
         format!(
             "{{\"schema\":{SCHEMA_VERSION},\"family\":\"{}\",\"spec\":{spec}}}",
@@ -970,7 +970,7 @@ impl Family for AblateFaultsSpec {
 
 /// Word/flit error probabilities the `ablate_faults` bin sweeps. Spacing is
 /// ≥ 2× so the retry counts separate cleanly under the fixed seeds.
-pub const FAULT_RATES: &[f64] = &[0.0, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2];
+pub(crate) const FAULT_RATES: &[f64] = &[0.0, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2];
 
 /// One point of the degradation sweep (field order is the
 /// `results/ablate_faults.json` byte contract).
@@ -1018,7 +1018,7 @@ fn mesh_faults(rate: f64) -> MeshFaultConfig {
 
 /// Mesh half of one sweep point: the Table III transpose under transient
 /// flit corruption plus occasional link outages.
-pub fn mesh_fault_point(
+pub(crate) fn mesh_fault_point(
     rate: f64,
     procs: usize,
     row_len: usize,
@@ -1040,7 +1040,7 @@ pub fn mesh_fault_point(
 /// burst each. Bursts are kept small so even the harshest swept rate stays
 /// recoverable within the link-layer retry budget (CRC granularity =
 /// burst). Returns `(bus_slots, retries, corrupted_words, giveups)`.
-pub fn machine_fault_point(
+pub(crate) fn machine_fault_point(
     rate: f64,
     gathers: usize,
     interrupt: Option<&Interrupt>,
@@ -1224,7 +1224,7 @@ pub struct CrosscheckRow {
 
 /// Deterministic test signal: one `n`-sample row per processor (same
 /// generator as the `crosscheck_models` bin).
-pub fn crosscheck_signal_rows(procs: usize, n: usize) -> Vec<Vec<Complex64>> {
+pub(crate) fn crosscheck_signal_rows(procs: usize, n: usize) -> Vec<Vec<Complex64>> {
     (0..procs)
         .map(|p| {
             (0..n)
@@ -1334,7 +1334,7 @@ impl MatrixPointSpec {
     }
 
     /// Human-readable operating point, crosscheck-style.
-    pub fn point_label(&self) -> String {
+    pub(crate) fn point_label(&self) -> String {
         let mut s = format!("P={},N={}", self.p, self.n);
         if self.family.starts_with("model2") {
             s.push_str(&format!(",k={}", self.k));
@@ -1645,7 +1645,7 @@ pub fn run_full_matrix(
 /// spec JSON plus the deadline bits. The deadline is part of the key so a
 /// run cancelled at 0 s can never poison (or be served from) the untimed
 /// entry.
-pub fn cache_key(spec: &JobSpec, timeout_s: Option<f64>) -> u64 {
+pub(crate) fn cache_key(spec: &JobSpec, timeout_s: Option<f64>) -> u64 {
     fnv1a64(
         format!(
             "{}|timeout={:?}",
@@ -1657,7 +1657,7 @@ pub fn cache_key(spec: &JobSpec, timeout_s: Option<f64>) -> u64 {
 }
 
 /// Package `spec` as a supervised job body: single-flight cache lookup
-/// keyed on [`cache_key`], simulation on miss, structured error
+/// keyed on `cache_key`, simulation on miss, structured error
 /// classification — the one code path `run_batch` and `psyncd` both route
 /// jobs through.
 ///

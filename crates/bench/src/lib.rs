@@ -476,11 +476,6 @@ pub fn f(v: f64, d: usize) -> String {
     format!("{v:.d$}")
 }
 
-/// Canonical harness surface for glob import: `use bench::prelude::*;`.
-pub mod prelude {
-    pub use crate::{f, BenchError, Experiment};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,10 +9,8 @@
 //! proportional to the physical hop length — which shrinks as the node count
 //! grows on the fixed die, exactly the inverse relation the paper notes.
 
-use serde::Serialize;
-
 /// Raw event counts accumulated by the mesh simulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnergyCounters {
     /// Flits injected at source NIs.
     pub injections: u64,
@@ -36,7 +34,7 @@ impl EnergyCounters {
 }
 
 /// ORION-flavoured energy parameters (45 nm-era constants).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OrionParams {
     /// Buffer write energy, pJ per bit.
     pub buf_write_pj_per_bit: f64,
@@ -71,7 +69,7 @@ impl Default for OrionParams {
 
 impl OrionParams {
     /// Per-flit router traversal energy in pJ.
-    pub fn router_pj_per_flit(&self) -> f64 {
+    pub(crate) fn router_pj_per_flit(&self) -> f64 {
         (self.buf_write_pj_per_bit
             + self.buf_read_pj_per_bit
             + self.xbar_pj_per_bit
@@ -81,13 +79,13 @@ impl OrionParams {
 
     /// Physical hop length on a fixed die with `nodes` routers: die edge /
     /// mesh side. More nodes → shorter hops → fewer repeater stages.
-    pub fn hop_mm(&self, nodes: usize) -> f64 {
+    pub(crate) fn hop_mm(&self, nodes: usize) -> f64 {
         let side = (nodes as f64).sqrt();
         self.die_mm / side
     }
 
     /// Per-flit link traversal energy in pJ for a mesh of `nodes`.
-    pub fn link_pj_per_flit(&self, nodes: usize) -> f64 {
+    pub(crate) fn link_pj_per_flit(&self, nodes: usize) -> f64 {
         self.link_pj_per_bit_mm * self.hop_mm(nodes) * self.flit_bits as f64
     }
 

@@ -31,8 +31,6 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use serde::Serialize;
-
 use sim_core::faults::hash_bernoulli;
 
 use crate::flit::Packet;
@@ -56,10 +54,10 @@ pub(crate) fn link_site(ri: usize, o: usize) -> u64 {
 }
 
 /// How often a blocked sender re-probes a dead neighbour, in cycles.
-pub const PROBE_INTERVAL: u64 = 8;
+pub(crate) const PROBE_INTERVAL: u64 = 8;
 
 /// A scheduled permanent router failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterKill {
     /// Router to kill.
     pub router: u32,
@@ -68,7 +66,7 @@ pub struct RouterKill {
 }
 
 /// Fault-injection knobs for one mesh instance.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MeshFaultConfig {
     /// Experiment seed; corruption and link-down streams derive from it.
     pub seed: u64,
@@ -109,7 +107,7 @@ impl Default for MeshFaultConfig {
 }
 
 /// Counters the fault layer accumulates over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MeshFaultStats {
     /// Payload flits poisoned in flight.
     pub corrupted_flits: u64,
@@ -128,7 +126,7 @@ pub struct MeshFaultStats {
 
 /// Structured no-progress diagnostic, produced by the watchdog instead of a
 /// hang (see [`crate::mesh::MeshError::NoProgress`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MeshDiagnostic {
     /// Routers dead at the time of the dump.
     pub killed_routers: Vec<u32>,
@@ -206,12 +204,12 @@ impl FaultLayer {
 
     /// Whether `router` is dead at `cycle`.
     #[inline]
-    pub fn is_dead(&self, router: u32, cycle: u64) -> bool {
+    pub(crate) fn is_dead(&self, router: u32, cycle: u64) -> bool {
         self.killed_at[router as usize].is_some_and(|at| at <= cycle)
     }
 
     /// Routers dead at `cycle`.
-    pub fn dead_routers(&self, cycle: u64) -> Vec<u32> {
+    pub(crate) fn dead_routers(&self, cycle: u64) -> Vec<u32> {
         (0..self.killed_at.len() as u32)
             .filter(|&r| self.is_dead(r, cycle))
             .collect()

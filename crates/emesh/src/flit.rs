@@ -5,10 +5,8 @@
 //! simulator flit carries some metadata a real flit would not (destination,
 //! readiness stamp) purely for bookkeeping; the *timed* width is 64 bits.
 
-use serde::Serialize;
-
 /// Position of a flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlitKind {
     /// First flit: carries routing info, pays `t_r` at each router.
     Head,
@@ -22,18 +20,18 @@ pub enum FlitKind {
 
 impl FlitKind {
     /// Does this flit open a wormhole channel?
-    pub fn is_head(self) -> bool {
+    pub(crate) fn is_head(self) -> bool {
         matches!(self, FlitKind::Head | FlitKind::HeadTail)
     }
 
     /// Does this flit close a wormhole channel?
-    pub fn is_tail(self) -> bool {
+    pub(crate) fn is_tail(self) -> bool {
         matches!(self, FlitKind::Tail | FlitKind::HeadTail)
     }
 }
 
 /// One 64-bit flit in flight.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Flit {
     /// Destination node index.
     pub dest: u32,
@@ -57,7 +55,7 @@ pub struct Flit {
 }
 
 /// A whole packet, pre-flitted.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Packet {
     /// Destination node index.
     pub dest: u32,
@@ -80,21 +78,8 @@ impl Packet {
         }
     }
 
-    /// A headerless packet (the head flit carries the first payload word),
-    /// used where the paper folds the header into the data ("Flit Size =
-    /// FFT element size").
-    pub fn headerless(dest: u32, id: u64, payload: Vec<u64>) -> Self {
-        assert!(!payload.is_empty(), "headerless packet needs payload");
-        Packet {
-            dest,
-            id,
-            payload,
-            explicit_header: false,
-        }
-    }
-
     /// Total flits on the wire.
-    pub fn flit_count(&self) -> usize {
+    pub(crate) fn flit_count(&self) -> usize {
         self.payload.len() + usize::from(self.explicit_header)
     }
 
@@ -133,6 +118,21 @@ impl Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Packet {
+        /// A headerless packet (the head flit carries the first payload word),
+        /// used where the paper folds the header into the data ("Flit Size =
+        /// FFT element size").
+        pub(crate) fn headerless(dest: u32, id: u64, payload: Vec<u64>) -> Self {
+            assert!(!payload.is_empty(), "headerless packet needs payload");
+            Packet {
+                dest,
+                id,
+                payload,
+                explicit_header: false,
+            }
+        }
+    }
 
     #[test]
     fn two_flit_element_packet() {

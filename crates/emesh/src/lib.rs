@@ -44,20 +44,9 @@ pub mod router;
 pub mod topology;
 pub mod workloads;
 
-pub use collectives::{run_mesh_collective, MeshCollectiveResult, MeshPhase};
+pub use collectives::{run_mesh_collective, MeshCollectiveResult};
 pub use energy::{EnergyCounters, OrionParams};
-pub use faults::{MeshDiagnostic, MeshFaultConfig, MeshFaultStats, RouterKill};
-pub use flit::{Flit, FlitKind, Packet};
+pub use faults::{MeshFaultConfig, MeshFaultStats, RouterKill};
+pub use flit::Packet;
 pub use mesh::{Mesh, MeshConfig, MeshError, RoutingPolicy};
 pub use topology::{MemifPlacement, NodeCoord, Topology};
-
-/// One-stop import for mesh experiments:
-/// `use emesh::prelude::*;`.
-pub mod prelude {
-    pub use crate::energy::OrionParams;
-    pub use crate::faults::{MeshFaultConfig, MeshFaultStats};
-    pub use crate::flit::Packet;
-    pub use crate::mesh::{Mesh, MeshConfig, MeshError, MeshRunResult, RoutingPolicy};
-    pub use crate::topology::{MemifPlacement, Topology};
-    pub use crate::workloads::{load_gather_energy, load_transpose};
-}

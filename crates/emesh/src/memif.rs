@@ -10,7 +10,6 @@
 use std::collections::HashMap;
 
 use memory::{AccessKind, DramConfig, DramController, DramStats};
-use serde::Serialize;
 use sim_core::invariant;
 use sim_core::telemetry::SeriesHistogram;
 
@@ -21,7 +20,7 @@ use crate::flit::Flit;
 const MAX_ROW_SPANS: usize = 4096;
 
 /// Memory-interface configuration.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MemifConfig {
     /// Reorder cycles per element (the paper's `t_p`).
     pub t_p: u64,
@@ -45,7 +44,7 @@ impl Default for MemifConfig {
 }
 
 /// Statistics from one memory interface.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemifStats {
     /// Flits ejected into this interface.
     pub flits_accepted: u64,
@@ -126,7 +125,7 @@ impl MemIf {
     }
 
     /// Whether the ejection port can take a flit at `cycle`.
-    pub fn can_accept(&self, cycle: u64) -> bool {
+    pub(crate) fn can_accept(&self, cycle: u64) -> bool {
         cycle >= self.free_at
     }
 
@@ -158,7 +157,7 @@ impl MemIf {
     /// and reorder unit exactly like a clean flit (the corruption is only
     /// detected once the element reaches the interface) but is refused
     /// staging — the caller NACKs the source instead.
-    pub fn accept_nack(&mut self, cycle: u64, flit: &Flit) {
+    pub(crate) fn accept_nack(&mut self, cycle: u64, flit: &Flit) {
         debug_assert!(self.can_accept(cycle));
         self.stats.flits_accepted += 1;
         self.stats.last_accept = cycle;
@@ -234,7 +233,7 @@ impl MemIf {
     /// ever staged is in exactly one of three places — a full row written
     /// back, a partial row forced out by [`MemIf::flush`], or a partial row
     /// still staged. Compiled out unless [`sim_core::invariants::ENABLED`].
-    pub fn check_conservation(&self) {
+    pub(crate) fn check_conservation(&self) {
         if !sim_core::invariants::ENABLED {
             return;
         }
@@ -248,11 +247,6 @@ impl MemIf {
             self.flushed_elements,
             staged
         );
-    }
-
-    /// True when nothing is staged and the DRAM bus has drained by `cycle`.
-    pub fn is_drained(&self, cycle: u64) -> bool {
-        self.staging.is_empty() && cycle >= self.dram_free_at
     }
 
     /// Interface statistics.
@@ -339,7 +333,7 @@ mod tests {
             cycle += 1;
         }
         assert_eq!(m.stats().rows_written, 1);
-        assert!(m.is_drained(m.stats().dram_done));
+        assert!(m.staging.is_empty() && m.stats().dram_done >= m.dram_free_at);
     }
 
     #[test]

@@ -48,7 +48,6 @@ mod soa;
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-use serde::Serialize;
 use sim_core::cancel::{CancelCause, Interrupt};
 use sim_core::invariant;
 use sim_core::stats::Histogram;
@@ -63,7 +62,7 @@ use crate::topology::{NodeCoord, Topology};
 use soa::Slot;
 
 /// Routing policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingPolicy {
     /// Dimension-order: X first, then Y. Deadlock-free.
     Xy,
@@ -74,7 +73,7 @@ pub enum RoutingPolicy {
 }
 
 /// Mesh configuration.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MeshConfig {
     /// Topology and memory-interface placement.
     pub topology: Topology,
@@ -97,7 +96,7 @@ pub struct MeshConfig {
 
 impl MeshConfig {
     /// Default input buffer depth in flits (§V-C-2: two).
-    pub const BUFFER_DEPTH: usize = 2;
+    pub(crate) const BUFFER_DEPTH: usize = 2;
 
     /// The paper's baseline mesh parameters over a 64-node single-corner
     /// square: `t_r = 1`, XY-capable minimal adaptive routing, 2-flit
@@ -334,7 +333,7 @@ impl std::error::Error for MeshError {}
 /// A non-fatal condition the scheduler wants the caller to know about.
 /// Warnings are deterministic functions of the configuration (never of the
 /// host machine), so they are safe to include in golden fingerprints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunWarning {
     /// More than one worker thread was requested; the executor is
     /// sequential, so the run used one.
@@ -647,12 +646,12 @@ impl Mesh {
     /// source id in 29 bits. The flit buffers of a mesh that large would
     /// take over 170 GB, so no configuration that fits in memory is
     /// refused.
-    pub const MAX_NODES: usize = 1 << Slot::SRC_BITS;
+    pub(crate) const MAX_NODES: usize = 1 << Slot::SRC_BITS;
 
     /// Build an idle mesh.
     ///
     /// # Panics
-    /// Panics when the topology has more than [`Mesh::MAX_NODES`] nodes.
+    /// Panics when the topology has more than `Mesh::MAX_NODES` nodes.
     pub fn new(cfg: MeshConfig) -> Self {
         let n = cfg.topology.nodes();
         assert!(
@@ -1084,16 +1083,6 @@ impl Mesh {
     /// Access a memory interface by slot for post-run inspection.
     pub fn memif(&self, slot: usize) -> &MemIf {
         &self.memifs[slot]
-    }
-
-    /// Mutable access (e.g. to flush partial rows after a run).
-    pub fn memif_mut(&mut self, slot: usize) -> &mut MemIf {
-        &mut self.memifs[slot]
-    }
-
-    /// Number of memory interfaces.
-    pub fn memif_count(&self) -> usize {
-        self.memifs.len()
     }
 }
 

@@ -49,7 +49,7 @@ const _: () = assert!(std::mem::size_of::<Slot>() == 32 && std::mem::align_of::<
 
 impl Slot {
     /// Bits left for `src` beside `corrupted` and `kind`.
-    pub const SRC_BITS: u32 = 29;
+    pub(crate) const SRC_BITS: u32 = 29;
 
     const EMPTY: Slot = Slot {
         ready_at: 0,
@@ -61,7 +61,7 @@ impl Slot {
 
     /// Pack `f`. Its `src` must fit in [`Slot::SRC_BITS`] bits.
     #[inline]
-    pub fn pack(f: &Flit) -> Slot {
+    pub(crate) fn pack(f: &Flit) -> Slot {
         debug_assert!(f.src >> Self::SRC_BITS == 0, "src {} overflows", f.src);
         Slot {
             ready_at: f.ready_at,
@@ -74,7 +74,7 @@ impl Slot {
 
     /// The flit this slot holds.
     #[inline]
-    pub fn unpack(&self) -> Flit {
+    pub(crate) fn unpack(&self) -> Flit {
         Flit {
             dest: self.dest,
             src: self.meta >> 3,

@@ -10,7 +10,7 @@
 /// Port indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
-pub enum Port {
+pub(crate) enum Port {
     /// Processor / memory-interface attachment.
     Local = 0,
     /// Toward y − 1.
@@ -24,7 +24,7 @@ pub enum Port {
 }
 
 /// All ports, in arbitration order.
-pub const PORTS: [Port; 5] = [
+pub(crate) const PORTS: [Port; 5] = [
     Port::Local,
     Port::North,
     Port::East,
@@ -33,16 +33,16 @@ pub const PORTS: [Port; 5] = [
 ];
 
 /// Number of ports.
-pub const NUM_PORTS: usize = 5;
+pub(crate) const NUM_PORTS: usize = 5;
 
 impl Port {
     /// Port from its index.
-    pub fn from_index(i: usize) -> Port {
+    pub(crate) fn from_index(i: usize) -> Port {
         PORTS[i]
     }
 
     /// The opposite direction (where a flit sent out `self` arrives).
-    pub fn opposite(self) -> Port {
+    pub(crate) fn opposite(self) -> Port {
         match self {
             Port::Local => Port::Local,
             Port::North => Port::South,

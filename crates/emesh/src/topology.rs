@@ -4,13 +4,11 @@
 //! wraparound (torus) links in both dimensions, plus a memory-interface
 //! placement. Constructors validate dimensions up front — a zero-width or
 //! zero-height grid has no nodes to route between, and silently wrapping
-//! `width - 1` in [`Topology::memif_nodes`] was exactly the class of
+//! `width - 1` in `Topology::memif_nodes` was exactly the class of
 //! latent bug generalized geometries made live.
 
-use serde::Serialize;
-
 /// A node's (x, y) position in the mesh; node index = `y * width + x`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeCoord {
     /// Column.
     pub x: u32,
@@ -19,7 +17,7 @@ pub struct NodeCoord {
 }
 
 /// Where memory interfaces attach.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemifPlacement {
     /// A single interface at the (0, 0) corner — the Table III setup
     /// ("a single memory port").
@@ -34,7 +32,7 @@ pub enum MemifPlacement {
 }
 
 /// A rectangular mesh (or torus) topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     /// Mesh width (columns). Must be ≥ 1.
     pub width: u32,
@@ -144,7 +142,7 @@ impl Topology {
     /// Panics on a zero-dimension topology — such a grid has no nodes, so
     /// it cannot carry a memory interface. The constructors reject it;
     /// this guards literal-built values.
-    pub fn memif_nodes(&self) -> Vec<u32> {
+    pub(crate) fn memif_nodes(&self) -> Vec<u32> {
         assert!(
             self.width >= 1 && self.height >= 1,
             "memif_nodes on a degenerate {}x{} topology",

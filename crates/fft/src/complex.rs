@@ -1,17 +1,12 @@
 //! A minimal double-precision complex number.
 //!
 //! The paper's samples are 64-bit complex values (two 32-bit halves, `S_s =
-//! 64`). For numerics we compute in f64 pairs; the *wire* size used by the
-//! network models is a separate constant ([`SAMPLE_BITS`]).
+//! 64`). For numerics we compute in f64 pairs.
 
-use serde::Serialize;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
-/// Wire size of one FFT sample in bits (`S_s` in the paper).
-pub const SAMPLE_BITS: u64 = 64;
-
 /// A complex number with f64 parts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex64 {
     /// Real part.
     pub re: f64,
@@ -33,7 +28,7 @@ impl Complex64 {
     }
 
     /// e^{iθ} = cos θ + i sin θ.
-    pub fn cis(theta: f64) -> Self {
+    pub(crate) fn cis(theta: f64) -> Self {
         Complex64 {
             re: theta.cos(),
             im: theta.sin(),
@@ -41,7 +36,7 @@ impl Complex64 {
     }
 
     /// Complex conjugate.
-    pub fn conj(self) -> Self {
+    pub(crate) fn conj(self) -> Self {
         Complex64 {
             re: self.re,
             im: -self.im,
@@ -49,7 +44,7 @@ impl Complex64 {
     }
 
     /// Squared magnitude.
-    pub fn norm_sqr(self) -> f64 {
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 

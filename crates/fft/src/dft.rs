@@ -20,25 +20,25 @@ pub fn dft_reference(x: &[Complex64]) -> Vec<Complex64> {
     out
 }
 
-/// Inverse DFT (unscaled by 1/N inside; scales at the end).
-pub fn idft_reference(x: &[Complex64]) -> Vec<Complex64> {
-    let n = x.len();
-    let mut out = Vec::with_capacity(n);
-    for k in 0..n {
-        let mut acc = Complex64::ZERO;
-        for (j, &v) in x.iter().enumerate() {
-            let theta = 2.0 * std::f64::consts::PI * (k as f64) * (j as f64) / (n as f64);
-            acc += v * Complex64::cis(theta);
-        }
-        out.push(acc.scale(1.0 / n as f64));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::complex::max_error;
+
+    /// Inverse DFT (unscaled by 1/N inside; scales at the end).
+    fn idft_reference(x: &[Complex64]) -> Vec<Complex64> {
+        let n = x.len();
+        let mut out = Vec::with_capacity(n);
+        for k in 0..n {
+            let mut acc = Complex64::ZERO;
+            for (j, &v) in x.iter().enumerate() {
+                let theta = 2.0 * std::f64::consts::PI * (k as f64) * (j as f64) / (n as f64);
+                acc += v * Complex64::cis(theta);
+            }
+            out.push(acc.scale(1.0 / n as f64));
+        }
+        out
+    }
 
     #[test]
     fn impulse_transforms_to_flat_spectrum() {

@@ -4,9 +4,7 @@
 //! 5. P column FFTs.
 //!
 //! The transpose in step 3 is the non-local writeback the whole paper is
-//! about; [`Fft2d::transpose_writeback_addresses`] exposes the exact
-//! linear-address stream each processor emits, which the network
-//! simulators consume.
+//! about.
 
 use crate::complex::Complex64;
 use crate::radix2::Radix2Plan;
@@ -24,7 +22,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// Zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
@@ -49,7 +47,7 @@ impl Matrix {
     }
 
     /// Mutable element accessor.
-    pub fn at_mut(&mut self, r: usize, c: usize) -> &mut Complex64 {
+    pub(crate) fn at_mut(&mut self, r: usize, c: usize) -> &mut Complex64 {
         &mut self.data[r * self.cols + c]
     }
 
@@ -59,7 +57,7 @@ impl Matrix {
     }
 
     /// Mutable row slice.
-    pub fn row_mut(&mut self, r: usize) -> &mut [Complex64] {
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [Complex64] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
@@ -106,38 +104,28 @@ impl Fft2d {
         }
         t.transposed()
     }
-
-    /// The transpose-writeback address stream of processor `r` (owner of
-    /// row `r`): element (r, c) lands at linear word address `c·P + r` in
-    /// column-major DRAM, emitted in c order. `P` = number of rows.
-    pub fn transpose_writeback_addresses(rows: usize, cols: usize, r: usize) -> Vec<u64> {
-        assert!(r < rows);
-        (0..cols as u64)
-            .map(|c| c * rows as u64 + r as u64)
-            .collect()
-    }
-}
-
-/// Reference 2-D DFT (O(N⁴)-ish; tests only).
-pub fn dft2d_reference(m: &Matrix) -> Matrix {
-    use crate::dft::dft_reference;
-    let mut a = m.clone();
-    for r in 0..a.rows {
-        let out = dft_reference(a.row(r));
-        a.row_mut(r).copy_from_slice(&out);
-    }
-    let mut t = a.transposed();
-    for r in 0..t.rows {
-        let out = dft_reference(t.row(r));
-        t.row_mut(r).copy_from_slice(&out);
-    }
-    t.transposed()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::complex::max_error;
+
+    /// Reference 2-D DFT (O(N⁴)-ish; tests only).
+    fn dft2d_reference(m: &Matrix) -> Matrix {
+        use crate::dft::dft_reference;
+        let mut a = m.clone();
+        for r in 0..a.rows {
+            let out = dft_reference(a.row(r));
+            a.row_mut(r).copy_from_slice(&out);
+        }
+        let mut t = a.transposed();
+        for r in 0..t.rows {
+            let out = dft_reference(t.row(r));
+            t.row_mut(r).copy_from_slice(&out);
+        }
+        t.transposed()
+    }
 
     fn test_matrix(rows: usize, cols: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -208,16 +196,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn writeback_addresses_interleave_processors() {
-        // Consecutive DRAM addresses come from consecutive processors —
-        // the fine interleaving that makes the transpose non-local.
-        let a0 = Fft2d::transpose_writeback_addresses(1024, 1024, 0);
-        let a1 = Fft2d::transpose_writeback_addresses(1024, 1024, 1);
-        assert_eq!(a0[0] + 1, a1[0]);
-        assert_eq!(a0[1], 1024); // same processor's next element is P away
-        assert_eq!(a0.len(), 1024);
     }
 }

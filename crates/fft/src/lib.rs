@@ -39,5 +39,5 @@ pub use blocked::BlockedFft;
 pub use complex::Complex64;
 pub use dft::dft_reference;
 pub use fft2d::Fft2d;
-pub use ops::{butterflies, multiplies, OpCounts};
-pub use radix2::{bit_reverse_permute, fft_in_place, ifft_in_place, Radix2Plan};
+pub use ops::{butterflies, multiplies};
+pub use radix2::{fft_in_place, ifft_in_place, Radix2Plan};

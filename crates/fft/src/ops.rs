@@ -2,16 +2,10 @@
 //!
 //! Table I counts "only multiplies", with "4 32-bit multiplies per FFT
 //! butterfly". A radix-2 N-point FFT has `(N/2)·log₂N` butterflies, so the
-//! multiply count is `2N·log₂N`. For GFLOPS reporting (Fig. 13) we also
-//! provide the standard total-flop count of 10 real ops per butterfly
-//! (4 multiplies + 6 additions), i.e. `5N·log₂N`.
-
-use serde::Serialize;
+//! multiply count is `2N·log₂N`.
 
 /// Real multiplies per butterfly (paper Table I assumption).
 pub const MULTS_PER_BUTTERFLY: u64 = 4;
-/// Real additions per butterfly (2 complex adds + 2 from the complex mul).
-pub const ADDS_PER_BUTTERFLY: u64 = 6;
 
 /// log₂ of a power of two.
 fn log2(n: u64) -> u64 {
@@ -29,11 +23,6 @@ pub fn multiplies(n: u64) -> u64 {
     MULTS_PER_BUTTERFLY * butterflies(n)
 }
 
-/// Total real floating-point ops in an N-point FFT: `5N·log₂N`.
-pub fn total_flops(n: u64) -> u64 {
-    (MULTS_PER_BUTTERFLY + ADDS_PER_BUTTERFLY) * butterflies(n)
-}
-
 /// Multiplies in one block's sub-FFT under k-way blocking — Eq. (17):
 /// `(2N/k)·log₂(N/k)`.
 pub fn multiplies_per_block(n: u64, k: u64) -> u64 {
@@ -45,40 +34,6 @@ pub fn multiplies_per_block(n: u64, k: u64) -> u64 {
 pub fn multiplies_final(n: u64, k: u64) -> u64 {
     assert!(k.is_power_of_two() && k <= n && n.is_multiple_of(k));
     2 * n * log2(k)
-}
-
-/// An operation tally.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct OpCounts {
-    /// Real multiplies.
-    pub multiplies: u64,
-    /// Real additions.
-    pub additions: u64,
-}
-
-impl OpCounts {
-    /// Tally for one N-point FFT.
-    pub fn fft(n: u64) -> Self {
-        OpCounts {
-            multiplies: multiplies(n),
-            additions: ADDS_PER_BUTTERFLY * butterflies(n),
-        }
-    }
-
-    /// Tally for a `rows × cols` 2-D FFT (row FFTs + column FFTs).
-    pub fn fft2d(rows: u64, cols: u64) -> Self {
-        let row = Self::fft(cols);
-        let col = Self::fft(rows);
-        OpCounts {
-            multiplies: rows * row.multiplies + cols * col.multiplies,
-            additions: rows * row.additions + cols * col.additions,
-        }
-    }
-
-    /// Total flops.
-    pub fn total(&self) -> u64 {
-        self.multiplies + self.additions
-    }
 }
 
 #[cfg(test)]
@@ -136,14 +91,5 @@ mod tests {
         for (k, t_cf) in expect {
             assert_eq!(multiplies_final(1024, k) * 2, t_cf, "k = {k}");
         }
-    }
-
-    #[test]
-    fn flop_totals() {
-        assert_eq!(total_flops(8), 10 * butterflies(8));
-        let c = OpCounts::fft2d(1024, 1024);
-        // 1024 row FFTs + 1024 col FFTs of 1024 points each.
-        assert_eq!(c.multiplies, 2 * 1024 * multiplies(1024));
-        assert_eq!(c.total(), 2 * 1024 * total_flops(1024));
     }
 }

@@ -82,7 +82,7 @@ pub(crate) fn log2(n: usize) -> u32 {
 }
 
 /// In-place bit-reversal permutation.
-pub fn bit_reverse_permute(x: &mut [Complex64]) {
+pub(crate) fn bit_reverse_permute(x: &mut [Complex64]) {
     let n = x.len();
     assert!(n.is_power_of_two());
     if n <= 2 {

@@ -7,10 +7,8 @@
 //! between the two 1-D FFT phases: the mesh performs a block-wise transpose
 //! through the memory ports; P-sync performs an SCA on the waveguide.
 
-use serde::Serialize;
-
 /// Which architecture a simulation models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArchKind {
     /// Wormhole-routed electronic mesh with 4 corner memory interfaces.
     ElectronicMesh,
@@ -21,7 +19,7 @@ pub enum ArchKind {
 }
 
 /// Shared system parameters.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SystemParams {
     /// Matrix edge (N × N samples; paper: 1024).
     pub n: u64,
@@ -62,17 +60,17 @@ impl Default for SystemParams {
 
 impl SystemParams {
     /// Aggregate memory bandwidth in bits/s.
-    pub fn agg_mem_bps(&self) -> f64 {
+    pub(crate) fn agg_mem_bps(&self) -> f64 {
         self.mem_ports as f64 * self.port_gbps * 1e9
     }
 
     /// Total matrix payload in bits.
-    pub fn matrix_bits(&self) -> f64 {
+    pub(crate) fn matrix_bits(&self) -> f64 {
         (self.n * self.n * self.sample_bits) as f64
     }
 
     /// Seconds to stream the whole matrix once at full memory bandwidth.
-    pub fn matrix_stream_secs(&self) -> f64 {
+    pub(crate) fn matrix_stream_secs(&self) -> f64 {
         self.matrix_bits() / self.agg_mem_bps()
     }
 
@@ -83,7 +81,7 @@ impl SystemParams {
 
     /// Seconds of compute for one FFT pass on `p` cores (idealized even
     /// split).
-    pub fn pass_compute_secs(&self, p: u64) -> f64 {
+    pub(crate) fn pass_compute_secs(&self, p: u64) -> f64 {
         self.mults_per_pass() as f64 / (p as f64 * self.core_mults_per_sec)
     }
 }

@@ -25,6 +25,6 @@ pub mod sim;
 pub mod sweep;
 
 pub use arch::{ArchKind, SystemParams};
-pub use phases::{DeliveryModel, PhaseBreakdown};
-pub use sim::{simulate_fft2d, PerfResult};
-pub use sweep::{sweep_cores, SweepPoint};
+pub use phases::DeliveryModel;
+pub use sim::simulate_fft2d;
+pub use sweep::sweep_cores;

@@ -18,12 +18,10 @@
 //!   overheads are the per-DRAM-row header (33/32) and a single optical
 //!   flight. Constant in P.
 
-use serde::Serialize;
-
 use crate::arch::{ArchKind, SystemParams};
 
 /// Wall-clock seconds per phase.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseBreakdown {
     /// Initial Model-I delivery of the matrix to the cores.
     pub deliver: f64,
@@ -44,7 +42,7 @@ impl PhaseBreakdown {
     }
 
     /// Fraction of the runtime spent reorganizing data (Fig. 14's y-axis).
-    pub fn reorg_fraction(&self) -> f64 {
+    pub(crate) fn reorg_fraction(&self) -> f64 {
         self.reorg / self.total()
     }
 }
@@ -57,7 +55,7 @@ fn eta_d(beats: f64, lat: f64) -> f64 {
 
 /// Time for the initial Model-I delivery (or final writeback) of the whole
 /// matrix through the memory ports.
-pub fn stream_phase_secs(kind: ArchKind, params: &SystemParams, p: u64) -> f64 {
+pub(crate) fn stream_phase_secs(kind: ArchKind, params: &SystemParams, p: u64) -> f64 {
     let base = params.matrix_stream_secs();
     match kind {
         ArchKind::Ideal => base,
@@ -76,7 +74,7 @@ pub fn stream_phase_secs(kind: ArchKind, params: &SystemParams, p: u64) -> f64 {
 }
 
 /// Time for the reorganization (transpose) phase.
-pub fn reorg_phase_secs(kind: ArchKind, params: &SystemParams, p: u64) -> f64 {
+pub(crate) fn reorg_phase_secs(kind: ArchKind, params: &SystemParams, p: u64) -> f64 {
     // Everyone moves the matrix out and back in: 2 passes of payload.
     let two_pass = 2.0 * params.matrix_stream_secs();
     match kind {
@@ -104,7 +102,7 @@ pub fn reorg_phase_secs(kind: ArchKind, params: &SystemParams, p: u64) -> f64 {
 
 /// Delivery model (§V-A): Model I serializes delivery before compute;
 /// Model II overlaps them with k-way blocking (Fig. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeliveryModel {
     /// All data before compute (Fig. 8) — what the paper's §VI runs used.
     ModelI,
@@ -116,7 +114,7 @@ pub enum DeliveryModel {
 }
 
 /// Compute one full phase set under Model I.
-pub fn phase_breakdown(kind: ArchKind, params: &SystemParams, p: u64) -> PhaseBreakdown {
+pub(crate) fn phase_breakdown(kind: ArchKind, params: &SystemParams, p: u64) -> PhaseBreakdown {
     phase_breakdown_with(kind, params, p, DeliveryModel::ModelI)
 }
 

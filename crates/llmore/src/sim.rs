@@ -1,12 +1,10 @@
 //! The phase-level simulator.
 
-use serde::Serialize;
-
 use crate::arch::{ArchKind, SystemParams};
 use crate::phases::{phase_breakdown, PhaseBreakdown};
 
 /// Performance data for one (architecture, core count) point.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PerfResult {
     /// Architecture simulated.
     pub arch: ArchKind,

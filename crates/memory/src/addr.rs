@@ -1,17 +1,20 @@
 //! Linear word address ↔ (bank, row, column) mapping.
 //!
 //! The map is row-interleaved across banks: consecutive rows land in
-//! consecutive banks, so a sequential stream (the P-sync head node's access
-//! pattern) ping-pongs banks and can hide activate latency, while a strided
-//! stream (a naive mesh transpose hitting column order) thrashes rows within
-//! a bank — exactly the asymmetry the paper exploits.
-
-use serde::Serialize;
+//! consecutive banks. A sequential stream (the P-sync head node's access
+//! pattern) opens each row once and reads the rest of it as row hits, while
+//! a strided stream (a naive mesh transpose hitting column order) thrashes
+//! rows within a bank — the asymmetry the paper exploits.
+//!
+//! Spreading rows across banks hides no activate latency in the timed
+//! model: `DramController::access` starts every access at
+//! `max(now, bus_free_at)`, so one bank never activates while another
+//! bursts. ROADMAP item 4 adds that overlap.
 
 use crate::config::DramConfig;
 
 /// A decoded DRAM coordinate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Decoded {
     /// Bank index.
     pub bank: usize,
@@ -22,7 +25,7 @@ pub struct Decoded {
 }
 
 /// Address map for a given configuration and word size.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AddrMap {
     cfg: DramConfig,
     /// Bits per addressed word (e.g. 64 for an FFT sample bus word).
@@ -55,18 +58,20 @@ impl AddrMap {
             col: word_addr % wpr,
         }
     }
-
-    /// Re-encode a decoded coordinate to its linear word address.
-    pub fn encode(&self, d: Decoded) -> u64 {
-        let wpr = self.words_per_row();
-        let global_row = d.row * self.cfg.banks as u64 + d.bank as u64;
-        global_row * wpr + d.col
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AddrMap {
+        /// Re-encode a decoded coordinate to its linear word address.
+        fn encode(&self, d: Decoded) -> u64 {
+            let wpr = self.words_per_row();
+            let global_row = d.row * self.cfg.banks as u64 + d.bank as u64;
+            global_row * wpr + d.col
+        }
+    }
 
     fn map() -> AddrMap {
         AddrMap::new(DramConfig::default(), 64)

@@ -1,12 +1,10 @@
 //! Per-bank open-row state machine.
 
-use serde::Serialize;
-
 use crate::config::DramConfig;
 
 /// One DRAM bank with an open-page policy.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct Bank {
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Bank {
     /// Currently open row, if any.
     open_row: Option<u64>,
     /// Cycle at which the bank becomes ready for a new command.
@@ -14,7 +12,7 @@ pub struct Bank {
 }
 
 /// Outcome classification of one access, for statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowOutcome {
     /// Row already open: only CAS + burst.
     Hit,
@@ -57,13 +55,8 @@ impl Bank {
     }
 
     /// Currently open row.
-    pub fn open_row(&self) -> Option<u64> {
+    pub(crate) fn open_row(&self) -> Option<u64> {
         self.open_row
-    }
-
-    /// Earliest cycle the bank can accept a new command.
-    pub fn ready_at(&self) -> u64 {
-        self.ready_at
     }
 }
 

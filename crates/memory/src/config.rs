@@ -1,13 +1,11 @@
 //! DRAM geometry and timing parameters.
 
-use serde::Serialize;
-
 /// Configuration of one DRAM device/channel.
 ///
 /// Defaults reproduce the paper's §V-C-1 assumptions: 2048-bit rows
 /// ("32 64-bit complex samples can be bursted at a time before a costly
 /// row-precharge must occur") behind a 64-bit bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     /// Number of independent banks.
     pub banks: usize,
@@ -59,11 +57,6 @@ impl DramConfig {
         self
     }
 
-    /// Bus words (beats) per row: `S_r / S_b`.
-    pub fn beats_per_row(&self) -> u64 {
-        self.row_bits / self.bus_bits
-    }
-
     /// Words of `word_bits` each that fit in one row.
     pub fn words_per_row(&self, word_bits: u64) -> u64 {
         assert!(word_bits > 0);
@@ -104,7 +97,6 @@ mod tests {
     #[test]
     fn paper_geometry() {
         let c = DramConfig::default();
-        assert_eq!(c.beats_per_row(), 32); // 2048 / 64
         assert_eq!(c.words_per_row(64), 32); // 32 complex samples of 64 b
         assert!(c.validate().is_ok());
     }

@@ -7,8 +7,6 @@
 //! nearly all row hits, a transposed stream without reordering is nearly all
 //! row conflicts.
 
-use serde::Serialize;
-
 use crate::addr::AddrMap;
 use crate::bank::{Bank, RowOutcome};
 use crate::config::DramConfig;
@@ -16,7 +14,7 @@ use crate::config::DramConfig;
 /// How often (in accesses) [`DramController::run_trace_supervised`] polls its
 /// interrupt. Coarse enough to keep the poll off the critical path, fine
 /// enough that cancellation latency is bounded by ~1k bank accesses.
-pub const TRACE_POLL_PERIOD: u64 = 1024;
+pub(crate) const TRACE_POLL_PERIOD: u64 = 1024;
 
 /// A supervised trace run was interrupted before the stream was exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +41,7 @@ impl std::error::Error for TraceCancelled {}
 
 /// Read or write. The timing model is symmetric; the distinction feeds
 /// statistics and (in `psync`) data movement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
     /// Read a word.
     Read,
@@ -52,7 +50,7 @@ pub enum AccessKind {
 }
 
 /// Aggregate statistics over a controller's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Total accesses.
     pub accesses: u64,
@@ -164,7 +162,7 @@ impl DramController {
     }
 
     /// [`Self::run_trace`] under an [`Interrupt`](sim_core::cancel::Interrupt):
-    /// the interrupt is polled every [`TRACE_POLL_PERIOD`] accesses (with
+    /// the interrupt is polled every `TRACE_POLL_PERIOD` accesses (with
     /// accesses-completed as the deterministic progress counter), so a deadline
     /// or token can stop a long trace mid-stream. On cancellation the error
     /// carries how far the trace got; the controller's statistics remain valid

@@ -11,16 +11,13 @@
 
 use std::collections::VecDeque;
 
-use serde::Serialize;
-use sim_core::telemetry::SeriesHistogram;
-
 use crate::addr::AddrMap;
 use crate::bank::{Bank, RowOutcome};
 use crate::config::DramConfig;
 use crate::controller::DramStats;
 
 /// FR-FCFS controller configuration.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FrFcfsConfig {
     /// DRAM timing/geometry.
     pub dram: DramConfig,
@@ -46,9 +43,6 @@ pub struct FrFcfsController {
     banks: Vec<Bank>,
     stats: DramStats,
     bus_free_at: u64,
-    /// Optional telemetry: how deep into the window each issued request
-    /// sat (0 = issued in arrival order). `None` costs nothing per pick.
-    reorder_depth: Option<SeriesHistogram>,
 }
 
 impl FrFcfsController {
@@ -62,19 +56,7 @@ impl FrFcfsController {
             banks: vec![Bank::default(); cfg.dram.banks],
             stats: DramStats::default(),
             bus_free_at: 0,
-            reorder_depth: None,
         }
-    }
-
-    /// Start recording the reorder depth of every issued request (the
-    /// window index the scheduler picked) into a histogram.
-    pub fn enable_reorder_telemetry(&mut self) {
-        self.reorder_depth = Some(SeriesHistogram::default());
-    }
-
-    /// The reorder-depth histogram, if telemetry is enabled.
-    pub fn reorder_depth_hist(&self) -> Option<&SeriesHistogram> {
-        self.reorder_depth.as_ref()
     }
 
     /// Process a stream of `(arrival_cycle, word_addr)` requests (sorted by
@@ -113,9 +95,6 @@ impl FrFcfsController {
                     self.banks[d.bank].open_row() == Some(d.row)
                 })
                 .unwrap_or(0);
-            if let Some(h) = self.reorder_depth.as_mut() {
-                h.record(pick as u64);
-            }
             let (arrive, addr) = window.remove(pick).expect("window nonempty");
             let beats = self.map.word_bits.div_ceil(self.cfg.dram.bus_bits);
             let d = self.map.decode(addr);

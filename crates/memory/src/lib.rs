@@ -21,16 +21,6 @@ pub mod config;
 pub mod controller;
 pub mod frfcfs;
 
-pub use addr::{AddrMap, Decoded};
-pub use bank::Bank;
 pub use config::DramConfig;
 pub use controller::{AccessKind, DramController, DramStats, TraceCancelled};
 pub use frfcfs::{FrFcfsConfig, FrFcfsController};
-
-/// One-stop import for DRAM experiments:
-/// `use memory::prelude::*;`.
-pub mod prelude {
-    pub use crate::config::DramConfig;
-    pub use crate::controller::{AccessKind, DramController, DramStats};
-    pub use crate::frfcfs::{FrFcfsConfig, FrFcfsController};
-}

@@ -14,17 +14,16 @@
 //! N ≤ (P_i − P_min-pd) / L_ws                     (3)
 //! ```
 //!
-//! Individual segments can be chained via repeaters to form larger networks;
-//! [`LinkBudget::segments_with_repeaters`] accounts for that.
-
-use serde::Serialize;
+//! Individual segments can be chained via O-E-O repeaters to form larger
+//! networks; each repeater restores full power for another
+//! [`LinkBudget::max_segments`] segments.
 
 use crate::devices::{Modulator, Photodiode};
 use crate::units::{DbLoss, OpticalPower};
 use crate::waveguide::Waveguide;
 
 /// Per-segment loss `L_ws` of Eq. (2).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SegmentLoss {
     /// Off-resonance ring loss `L_r-off`.
     pub ring_off: DbLoss,
@@ -34,7 +33,7 @@ pub struct SegmentLoss {
 
 impl SegmentLoss {
     /// Segment loss from a modulator pitch (mm) and a waveguide loss model.
-    pub fn from_pitch(modulator: &Modulator, waveguide: &Waveguide, pitch_mm: f64) -> Self {
+    pub(crate) fn from_pitch(modulator: &Modulator, waveguide: &Waveguide, pitch_mm: f64) -> Self {
         SegmentLoss {
             ring_off: modulator.pass_loss(),
             pitch_waveguide: DbLoss::from_db(waveguide.loss_db_per_cm * pitch_mm / 10.0),
@@ -48,7 +47,7 @@ impl SegmentLoss {
 }
 
 /// Full link budget for a PSCAN bus.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LinkBudget {
     /// Incident power at the head of the waveguide, `P_i`.
     pub input_power: OpticalPower,
@@ -94,40 +93,20 @@ impl LinkBudget {
         }
         (self.margin().db() / per).floor() as usize
     }
-
-    /// Whether a bus of `n` segments closes the link — Eq. (1).
-    pub fn closes(&self, n: usize) -> bool {
-        let total = self.fixed_overhead + self.segment.total() * n as f64;
-        self.input_power - total >= self.sensitivity
-    }
-
-    /// Received power after `n` segments.
-    pub fn received_power(&self, n: usize) -> OpticalPower {
-        self.input_power - (self.fixed_overhead + self.segment.total() * n as f64)
-    }
-
-    /// Number of O-E-O repeaters needed to span `n` segments, given the
-    /// unrepeatered reach from [`Self::max_segments`]. Zero when the bus
-    /// closes on its own. §III-B: "individual PSCAN segments can be linked
-    /// via repeaters to form larger networks."
-    pub fn segments_with_repeaters(&self, n: usize) -> usize {
-        let reach = self.max_segments();
-        if reach == 0 {
-            panic!("link budget cannot close even a single segment");
-        }
-        if n <= reach {
-            0
-        } else {
-            // Each repeater restores full power for another `reach` segments.
-            n.div_ceil(reach) - 1
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::devices::Laser;
+
+    impl LinkBudget {
+        /// Whether a bus of `n` segments closes the link — Eq. (1).
+        fn closes(&self, n: usize) -> bool {
+            let total = self.fixed_overhead + self.segment.total() * n as f64;
+            self.input_power - total >= self.sensitivity
+        }
+    }
 
     fn default_budget(pitch_mm: f64) -> LinkBudget {
         LinkBudget::new(
@@ -163,28 +142,8 @@ mod tests {
     }
 
     #[test]
-    fn received_power_monotonically_decreases() {
-        let b = default_budget(1.0);
-        let mut last = f64::INFINITY;
-        for n in [0, 10, 100, 250] {
-            let p = b.received_power(n).dbm();
-            assert!(p < last);
-            last = p;
-        }
-    }
-
-    #[test]
     fn longer_pitch_means_fewer_segments() {
         assert!(default_budget(2.0).max_segments() < default_budget(1.0).max_segments());
-    }
-
-    #[test]
-    fn repeaters_extend_reach() {
-        let b = default_budget(1.0);
-        assert_eq!(b.segments_with_repeaters(250), 0);
-        assert_eq!(b.segments_with_repeaters(251), 1);
-        assert_eq!(b.segments_with_repeaters(500), 1);
-        assert_eq!(b.segments_with_repeaters(501), 2);
     }
 
     #[test]
@@ -197,7 +156,8 @@ mod tests {
         let layout = crate::waveguide::ChipLayout::square(20.0, 1024);
 
         let lossy = default_budget(layout.pitch_mm());
-        let reps = lossy.segments_with_repeaters(1024);
+        // Each O-E-O repeater restores full power for another reach.
+        let reps = 1024usize.div_ceil(lossy.max_segments()) - 1;
         assert!(
             (1..=3).contains(&reps),
             "expected 1-3 repeaters, got {reps}"

@@ -8,14 +8,13 @@
 //! with the clock wavefront, because clock and data co-propagate at the same
 //! speed. No PLL/DLL is used ("open-loop distribution").
 
-use serde::Serialize;
 use sim_core::time::{Duration, Time};
 
 use crate::waveguide::ChipLayout;
 
 /// The photonic clock generator at the head of a PSCAN bus and the resulting
 /// per-tap timing frame.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PhotonicClock {
     /// Clock (= bit slot) period.
     pub period: Duration,
@@ -43,11 +42,6 @@ impl PhotonicClock {
         }
     }
 
-    /// Number of taps this clock serves.
-    pub fn taps(&self) -> usize {
-        self.tap_flight.len()
-    }
-
     /// Flight time from the generator to tap `i` (the tap's fixed skew).
     pub fn skew(&self, tap: usize) -> Duration {
         self.tap_flight[tap]
@@ -63,23 +57,19 @@ impl PhotonicClock {
     pub fn drive_time(&self, tap: usize, k: u64) -> Time {
         self.edge_at_tap(tap, k) + self.response_delay
     }
-
-    /// Absolute time at which light driven at tap `i` for edge `k` passes a
-    /// downstream position with flight-time offset `extra` from tap `i`.
-    pub fn wavefront_downstream(&self, tap: usize, k: u64, extra: Duration) -> Time {
-        self.drive_time(tap, k) + extra
-    }
-
-    /// The clock edge index whose wavefront is at the bus head at time `t`
-    /// (saturating to 0 before the origin).
-    pub fn edge_index_at_origin(&self, t: Time) -> u64 {
-        t.saturating_since(self.origin).as_ps() / self.period.as_ps()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::waveguide::flight_time_mm;
+
+    impl PhotonicClock {
+        /// Number of taps this clock serves.
+        fn taps(&self) -> usize {
+            self.tap_flight.len()
+        }
+    }
 
     fn clock16() -> PhotonicClock {
         let layout = ChipLayout::square(20.0, 16);
@@ -120,22 +110,13 @@ mod tests {
         let layout = ChipLayout::square(20.0, 16);
         let c = PhotonicClock::new(&layout, Duration::from_ps(100), Time::ZERO);
         let (a, b) = (3usize, 11usize);
-        let flight_ab = layout.flight_between(a, b);
-        let arrival = c.wavefront_downstream(a, 9, flight_ab);
+        let flight_ab = flight_time_mm(layout.tap_position_mm(b) - layout.tap_position_mm(a));
+        let arrival = c.drive_time(a, 9) + flight_ab;
         let local_edge_b = c.edge_at_tap(b, 9) + c.response_delay;
         // Equal up to the 1 ps rounding of independent flight legs.
         assert!(
             arrival.as_ps().abs_diff(local_edge_b.as_ps()) <= 1,
             "arrival {arrival:?} vs local edge {local_edge_b:?}"
         );
-    }
-
-    #[test]
-    fn edge_index_at_origin_counts_periods() {
-        let c = clock16();
-        assert_eq!(c.edge_index_at_origin(Time::ZERO), 0);
-        assert_eq!(c.edge_index_at_origin(Time::from_ps(99)), 0);
-        assert_eq!(c.edge_index_at_origin(Time::from_ps(100)), 1);
-        assert_eq!(c.edge_index_at_origin(Time::from_ps(1050)), 10);
     }
 }

@@ -6,12 +6,10 @@
 //! of the 2010–2013 silicon-photonics literature the paper builds on
 //! (PhoenixSim-era device models).
 
-use serde::Serialize;
-
 use crate::units::{DbLoss, OpticalPower};
 
 /// A ring resonator used as a filter or as the tuned element of a modulator.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RingResonator {
     /// Loss imposed on *passing* light when the ring is off-resonance
     /// (`L_r-off` of Eq. 2). Typical: 0.01 dB.
@@ -36,7 +34,7 @@ impl Default for RingResonator {
 }
 
 /// An electro-optic ring modulator.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Modulator {
     /// The ring element (contributes `L_r-off` when idle).
     pub ring: RingResonator,
@@ -64,18 +62,13 @@ impl Default for Modulator {
 
 impl Modulator {
     /// Loss seen by light passing this tap while the modulator is *idle*.
-    pub fn pass_loss(&self) -> DbLoss {
+    pub(crate) fn pass_loss(&self) -> DbLoss {
         self.ring.off_resonance_loss
-    }
-
-    /// Dynamic energy in joules to modulate `bits` bits.
-    pub fn dynamic_energy_j(&self, bits: u64) -> f64 {
-        self.energy_fj_per_bit * 1e-15 * bits as f64
     }
 }
 
 /// A photodiode receiver (including its TIA front-end).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Photodiode {
     /// Minimum detectable power `P_min-pd` at the design bit rate.
     /// Typical: −20 dBm at 10 Gb/s.
@@ -94,20 +87,10 @@ impl Default for Photodiode {
     }
 }
 
-impl Photodiode {
-    /// Whether an incident power level is detectable.
-    pub fn detects(&self, incident: OpticalPower) -> bool {
-        incident.dbm() >= self.sensitivity.dbm()
-    }
-
-    /// Dynamic energy in joules to receive `bits` bits.
-    pub fn dynamic_energy_j(&self, bits: u64) -> f64 {
-        self.energy_fj_per_bit * 1e-15 * bits as f64
-    }
-}
+impl Photodiode {}
 
 /// A continuous-wave laser source driving one wavelength.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Laser {
     /// Optical power coupled onto the waveguide, per wavelength.
     pub output: OpticalPower,
@@ -127,7 +110,7 @@ impl Default for Laser {
 
 impl Laser {
     /// Electrical power drawn, in watts.
-    pub fn electrical_watts(&self) -> f64 {
+    pub(crate) fn electrical_watts(&self) -> f64 {
         assert!(
             self.wall_plug_efficiency > 0.0,
             "wall-plug efficiency must be positive"
@@ -144,21 +127,6 @@ mod tests {
     fn modulator_pass_loss_is_off_resonance() {
         let m = Modulator::default();
         assert!((m.pass_loss().db() - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn modulator_energy_scales_with_bits() {
-        let m = Modulator::default();
-        let e = m.dynamic_energy_j(1_000_000);
-        assert!((e - 85.0e-15 * 1e6).abs() < 1e-18);
-    }
-
-    #[test]
-    fn photodiode_threshold() {
-        let pd = Photodiode::default();
-        assert!(pd.detects(OpticalPower::from_dbm(-19.9)));
-        assert!(pd.detects(OpticalPower::from_dbm(-20.0)));
-        assert!(!pd.detects(OpticalPower::from_dbm(-20.1)));
     }
 
     #[test]

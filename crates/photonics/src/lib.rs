@@ -19,24 +19,20 @@
 //! * [`energy`] — the photonic energy-per-bit model used for the Fig. 5
 //!   comparison against the electronic mesh.
 
-pub mod ber;
 pub mod budget;
 pub mod clock;
 pub mod devices;
 pub mod energy;
 pub mod spectrum;
-pub mod thermal;
 pub mod units;
 pub mod waveguide;
 pub mod wdm;
 
-pub use ber::ReceiverModel;
-pub use budget::{LinkBudget, SegmentLoss};
+pub use budget::LinkBudget;
 pub use clock::PhotonicClock;
-pub use devices::{Modulator, Photodiode, RingResonator};
+pub use devices::{Modulator, Photodiode};
 pub use energy::PhotonicEnergyModel;
-pub use spectrum::{check_plan, PlanCheck, RingSpectrum};
-pub use thermal::ThermalModel;
-pub use units::{DbLoss, OpticalPower};
+pub use spectrum::{check_plan, RingSpectrum};
+pub use units::OpticalPower;
 pub use waveguide::{ChipLayout, Waveguide};
 pub use wdm::WavelengthPlan;

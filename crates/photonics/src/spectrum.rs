@@ -6,15 +6,13 @@
 //! [`crate::wdm::WavelengthPlan`] against it — the physical-design check
 //! behind the paper's "32 wavelengths each modulated at 10 Gb/s".
 
-use serde::Serialize;
-
 use crate::units::DbLoss;
 
 /// Speed of light in vacuum, m/s.
-pub const C_M_PER_S: f64 = 299_792_458.0;
+pub(crate) const C_M_PER_S: f64 = 299_792_458.0;
 
 /// Spectral model of one add–drop ring resonator.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RingSpectrum {
     /// Resonance (centre) wavelength in nm. The paper's band: 1550 nm.
     pub center_nm: f64,
@@ -41,42 +39,36 @@ impl Default for RingSpectrum {
 impl RingSpectrum {
     /// Full width at half maximum of the resonance, in GHz.
     /// `FWHM = f₀ / Q`.
-    pub fn fwhm_ghz(&self) -> f64 {
+    pub(crate) fn fwhm_ghz(&self) -> f64 {
         self.center_freq_ghz() / self.q
     }
 
     /// Centre frequency in GHz.
-    pub fn center_freq_ghz(&self) -> f64 {
+    pub(crate) fn center_freq_ghz(&self) -> f64 {
         C_M_PER_S / (self.center_nm * 1e-9) / 1e9
     }
 
     /// Free spectral range in GHz: `FSR = c / (n_g · L)`.
-    pub fn fsr_ghz(&self) -> f64 {
+    pub(crate) fn fsr_ghz(&self) -> f64 {
         C_M_PER_S / (self.group_index * self.circumference_um * 1e-6) / 1e9
     }
 
     /// Drop-port power transmission at a detuning of `delta_ghz` from
     /// resonance — a Lorentzian: `D(δ) = 1 / (1 + (2δ/FWHM)²)`.
-    pub fn drop_transmission(&self, delta_ghz: f64) -> f64 {
+    pub(crate) fn drop_transmission(&self, delta_ghz: f64) -> f64 {
         let x = 2.0 * delta_ghz / self.fwhm_ghz();
         1.0 / (1.0 + x * x)
     }
 
-    /// Through-port power transmission at detuning `delta_ghz`
-    /// (energy conservation for the ideal lossless add–drop ring).
-    pub fn through_transmission(&self, delta_ghz: f64) -> f64 {
-        1.0 - self.drop_transmission(delta_ghz)
-    }
-
     /// Crosstalk picked up from a neighbour channel `spacing_ghz` away, as
     /// a (positive) suppression in dB — bigger is better.
-    pub fn crosstalk_suppression_db(&self, spacing_ghz: f64) -> f64 {
+    pub(crate) fn crosstalk_suppression_db(&self, spacing_ghz: f64) -> f64 {
         -10.0 * self.drop_transmission(spacing_ghz).log10()
     }
 }
 
 /// Result of validating a WDM plan against a ring design.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PlanCheck {
     /// Channel spacing in GHz.
     pub spacing_ghz: f64,
@@ -147,7 +139,6 @@ mod tests {
         let hw = r.fwhm_ghz() / 2.0;
         assert!((r.drop_transmission(hw) - 0.5).abs() < 1e-12);
         // Through + drop = 1.
-        assert!((r.through_transmission(7.0) + r.drop_transmission(7.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]

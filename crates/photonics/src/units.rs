@@ -5,43 +5,36 @@
 //! We keep power in dBm and loss in dB and convert to linear milliwatts only
 //! at the edges.
 
-use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// Optical power referenced to 1 mW, in dBm.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct OpticalPower(pub f64);
 
 /// Attenuation in dB (non-negative).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct DbLoss(pub f64);
 
 impl OpticalPower {
     /// Power from a dBm value.
-    pub const fn from_dbm(dbm: f64) -> Self {
+    pub(crate) const fn from_dbm(dbm: f64) -> Self {
         OpticalPower(dbm)
     }
 
-    /// Power from linear milliwatts (must be positive).
-    pub fn from_mw(mw: f64) -> Self {
-        assert!(mw > 0.0, "optical power must be positive, got {mw} mW");
-        OpticalPower(10.0 * mw.log10())
-    }
-
     /// dBm value.
-    pub const fn dbm(self) -> f64 {
+    pub(crate) const fn dbm(self) -> f64 {
         self.0
     }
 
     /// Linear milliwatts.
-    pub fn mw(self) -> f64 {
+    pub(crate) fn mw(self) -> f64 {
         10f64.powf(self.0 / 10.0)
     }
 
     /// Linear watts.
-    pub fn watts(self) -> f64 {
+    pub(crate) fn watts(self) -> f64 {
         self.mw() * 1e-3
     }
 }
@@ -55,7 +48,7 @@ impl DbLoss {
     /// # Panics
     /// Panics on negative values: gain is modeled separately (repeaters),
     /// never as negative loss.
-    pub fn from_db(db: f64) -> Self {
+    pub(crate) fn from_db(db: f64) -> Self {
         assert!(db >= 0.0, "loss must be non-negative, got {db} dB");
         DbLoss(db)
     }
@@ -63,11 +56,6 @@ impl DbLoss {
     /// dB value.
     pub const fn db(self) -> f64 {
         self.0
-    }
-
-    /// Linear transmission factor in (0, 1].
-    pub fn transmission(self) -> f64 {
-        10f64.powf(-self.0 / 10.0)
     }
 }
 
@@ -138,19 +126,12 @@ mod tests {
         close(OpticalPower::from_dbm(0.0).mw(), 1.0);
         close(OpticalPower::from_dbm(10.0).mw(), 10.0);
         close(OpticalPower::from_dbm(-20.0).mw(), 0.01);
-        close(OpticalPower::from_mw(2.0).dbm(), 10.0 * 2f64.log10());
     }
 
     #[test]
     fn loss_subtraction() {
         let p = OpticalPower::from_dbm(10.0) - DbLoss::from_db(13.0);
         close(p.dbm(), -3.0);
-    }
-
-    #[test]
-    fn loss_halves_power_at_3db() {
-        let t = DbLoss::from_db(3.0103).transmission();
-        assert!((t - 0.5).abs() < 1e-4, "3 dB should halve power, got {t}");
     }
 
     #[test]

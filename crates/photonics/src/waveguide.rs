@@ -8,7 +8,6 @@
 //! [`ChipLayout`] places `n` evenly pitched node taps along a serpentine bus
 //! on a fixed-size die, which is how the PSCAN reaches every processor.
 
-use serde::Serialize;
 use sim_core::time::Duration;
 
 use crate::units::DbLoss;
@@ -17,10 +16,10 @@ use crate::units::DbLoss;
 ///
 /// The paper's figure: "Light with a wavelength of 1550 nm ... will travel
 /// approximately 7 cm/ns in a silicon waveguide" (group index ≈ 4.3).
-pub const SPEED_MM_PER_NS: f64 = 70.0;
+pub(crate) const SPEED_MM_PER_NS: f64 = 70.0;
 
 /// A straight run of waveguide with a length and a per-length loss.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Waveguide {
     /// Physical length in millimetres.
     pub length_mm: f64,
@@ -46,24 +45,9 @@ impl Waveguide {
         self
     }
 
-    /// One-way flight time over the full length.
-    pub fn flight_time(&self) -> Duration {
-        flight_time_mm(self.length_mm)
-    }
-
     /// Total propagation loss over the full length.
     pub fn loss(&self) -> DbLoss {
         DbLoss::from_db(self.loss_db_per_cm * self.length_mm / 10.0)
-    }
-
-    /// Loss over a partial run of `mm` millimetres.
-    pub fn loss_over(&self, mm: f64) -> DbLoss {
-        assert!(
-            (0.0..=self.length_mm + 1e-9).contains(&mm),
-            "position {mm} mm outside waveguide of {} mm",
-            self.length_mm
-        );
-        DbLoss::from_db(self.loss_db_per_cm * mm / 10.0)
     }
 }
 
@@ -84,7 +68,7 @@ pub fn flight_time_mm(mm: f64) -> Duration {
 /// by short turns; taps are evenly pitched along the unrolled length, which
 /// is the paper's "modulators are evenly spaced along the waveguide"
 /// assumption.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChipLayout {
     /// Die edge in millimetres (paper fixes 2 cm × 2 cm for Fig. 5).
     pub die_mm: f64,
@@ -121,7 +105,7 @@ impl ChipLayout {
     ///
     /// Taps are evenly pitched with half-pitch margins at both ends, so the
     /// inter-tap pitch equals `bus_length / nodes` — the `D_m` of Eq. (2).
-    pub fn tap_position_mm(&self, i: usize) -> f64 {
+    pub(crate) fn tap_position_mm(&self, i: usize) -> f64 {
         assert!(
             i < self.nodes,
             "tap {i} out of range ({} nodes)",
@@ -139,12 +123,6 @@ impl ChipLayout {
     /// Flight time from the bus head (position 0) to tap `i`.
     pub fn flight_to_tap(&self, i: usize) -> Duration {
         flight_time_mm(self.tap_position_mm(i))
-    }
-
-    /// Flight time between taps `i` and `j` (i ≤ j).
-    pub fn flight_between(&self, i: usize, j: usize) -> Duration {
-        assert!(i <= j, "flight_between expects i <= j");
-        flight_time_mm(self.tap_position_mm(j) - self.tap_position_mm(i))
     }
 }
 
@@ -164,7 +142,6 @@ mod tests {
     fn waveguide_loss_scales_with_length() {
         let wg = Waveguide::new(20.0); // 2 cm at 1 dB/cm
         assert!((wg.loss().db() - 2.0).abs() < 1e-12);
-        assert!((wg.loss_over(10.0).db() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -193,16 +170,6 @@ mod tests {
         }
         // Last tap is inside the bus.
         assert!(l.tap_position_mm(63) < l.bus_length_mm());
-    }
-
-    #[test]
-    fn flight_between_is_consistent() {
-        let l = ChipLayout::square(20.0, 16);
-        let a = l.flight_to_tap(3).as_ps();
-        let b = l.flight_to_tap(9).as_ps();
-        let d = l.flight_between(3, 9).as_ps();
-        // Rounding each leg independently can differ by at most 1 ps.
-        assert!((b - a).abs_diff(d) <= 1);
     }
 
     #[test]

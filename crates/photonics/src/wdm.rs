@@ -6,20 +6,10 @@
 //! wavelengths `λ_d` (paper §III, Fig. 4), and converts between bit slots,
 //! bus words and wall-clock time.
 
-use serde::Serialize;
 use sim_core::time::Duration;
 
-/// Role a wavelength plays on the PSCAN bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum WavelengthRole {
-    /// Carries the modulated global clock (`λ_c`).
-    Clock,
-    /// Carries data (`λ_d`).
-    Data,
-}
-
 /// A WDM channel plan for one PSCAN bus.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WavelengthPlan {
     /// Number of data wavelengths.
     pub data_lambdas: usize,
@@ -67,19 +57,9 @@ impl WavelengthPlan {
         self.data_lambdas as u64
     }
 
-    /// Number of slots (bus cycles) to carry `bits` bits, rounded up.
-    pub fn slots_for_bits(&self, bits: u64) -> u64 {
-        bits.div_ceil(self.bits_per_slot())
-    }
-
-    /// Time to carry `bits` bits at full utilization.
-    pub fn time_for_bits(&self, bits: u64) -> Duration {
-        self.slot() * self.slots_for_bits(bits)
-    }
-
     /// Total rings per node tap: one modulator ring per data wavelength plus
     /// one clock drop filter.
-    pub fn rings_per_tap(&self) -> usize {
+    pub(crate) fn rings_per_tap(&self) -> usize {
         self.data_lambdas + 1
     }
 }
@@ -95,25 +75,6 @@ mod tests {
         assert!((p.aggregate_gbps() - 320.0).abs() < 1e-12);
         assert_eq!(p.slot().as_ps(), 100);
         assert_eq!(p.bits_per_slot(), 32);
-    }
-
-    #[test]
-    fn slots_round_up() {
-        let p = WavelengthPlan::paper_320g();
-        assert_eq!(p.slots_for_bits(0), 0);
-        assert_eq!(p.slots_for_bits(1), 1);
-        assert_eq!(p.slots_for_bits(32), 1);
-        assert_eq!(p.slots_for_bits(33), 2);
-        // A 64-bit FFT sample takes 2 slots = 200 ps.
-        assert_eq!(p.time_for_bits(64).as_ps(), 200);
-    }
-
-    #[test]
-    fn a_2048_bit_dram_row_takes_64_slots() {
-        // Cross-check with the Table III parameters: S_r = 2048 bits on a
-        // 32-bit-wide bus word -> 64 bus cycles of payload.
-        let p = WavelengthPlan::paper_320g();
-        assert_eq!(p.slots_for_bits(2048), 64);
     }
 
     #[test]

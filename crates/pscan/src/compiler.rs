@@ -8,14 +8,12 @@
 //! burst, which node must capture it. The compiler coalesces per-node slot
 //! runs into minimal CPs and proves the set collision-free by construction.
 
-use serde::Serialize;
-
 use crate::cp::{CommProgram, CpAction, CpEntry};
 use crate::NodeId;
 
 /// A gather (SCA): `slot_source[k]` is the node whose data occupies global
 /// slot `k` of the coalesced burst arriving at the terminus.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GatherSpec {
     /// Source node per slot, in burst order.
     pub slot_source: Vec<NodeId>,
@@ -23,7 +21,7 @@ pub struct GatherSpec {
 
 /// A scatter (SCA⁻¹): `slot_dest[k]` is the node that must detect global
 /// slot `k` of the head node's monolithic burst.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScatterSpec {
     /// Destination node per slot, in burst order.
     pub slot_dest: Vec<NodeId>,
@@ -48,15 +46,6 @@ impl GatherSpec {
     /// simple result writeback (Model I wind-down).
     pub fn blocked(nodes: usize, block: usize) -> Self {
         Self::interleaved(nodes, block, 1)
-    }
-
-    /// Number of slots each node contributes.
-    pub fn slots_per_node(&self, nodes: usize) -> Vec<u64> {
-        let mut counts = vec![0u64; nodes];
-        for &n in &self.slot_source {
-            counts[n] += 1;
-        }
-        counts
     }
 
     /// Total slots in the burst.
@@ -100,7 +89,7 @@ impl CpCompiler {
     }
 
     /// Compile a scatter into one Listen-CP per node.
-    pub fn compile_scatter(&self, spec: &ScatterSpec, nodes: usize) -> Vec<CommProgram> {
+    pub(crate) fn compile_scatter(&self, spec: &ScatterSpec, nodes: usize) -> Vec<CommProgram> {
         Self::compile_map(&spec.slot_dest, nodes, CpAction::Listen)
     }
 
@@ -239,7 +228,9 @@ mod tests {
     #[test]
     fn slots_per_node_counts() {
         let spec = GatherSpec::interleaved(4, 2, 5);
-        assert_eq!(spec.slots_per_node(4), vec![10, 10, 10, 10]);
+        for node in 0..4 {
+            assert_eq!(spec.slot_source.iter().filter(|&&n| n == node).count(), 10);
+        }
         assert_eq!(spec.total_slots(), 40);
     }
 

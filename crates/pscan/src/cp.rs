@@ -8,10 +8,8 @@
 //! mention is implicitly `Pass` — the node lets incident energy through
 //! unmodified, which is what makes the splice work.
 
-use serde::Serialize;
-
 /// What a node does with the wavefronts of a slot range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpAction {
     /// Modulate local data onto the data wavelength (SCA contribution).
     Drive,
@@ -20,7 +18,7 @@ pub enum CpAction {
 }
 
 /// One contiguous run of slots with a single action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpEntry {
     /// First global slot of the run.
     pub start: u64,
@@ -44,7 +42,7 @@ impl CpEntry {
 
 /// A node's complete communication program: an ordered, non-overlapping
 /// list of slot runs.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CommProgram {
     entries: Vec<CpEntry>,
 }
@@ -95,24 +93,9 @@ impl CommProgram {
         &self.entries
     }
 
-    /// Action at `slot`, or `None` for Pass.
-    pub fn action_at(&self, slot: u64) -> Option<CpAction> {
-        // Entries are sorted; binary-search the candidate run.
-        let idx = self.entries.partition_point(|e| e.end() <= slot);
-        self.entries
-            .get(idx)
-            .filter(|e| e.contains(slot))
-            .map(|e| e.action)
-    }
-
     /// Total slots the program drives.
     pub fn slots_driven(&self) -> u64 {
         self.action_slots(CpAction::Drive)
-    }
-
-    /// Total slots the program listens on.
-    pub fn slots_listened(&self) -> u64 {
-        self.action_slots(CpAction::Listen)
     }
 
     fn action_slots(&self, a: CpAction) -> u64 {
@@ -139,47 +122,18 @@ impl CommProgram {
     pub fn encoded_bits(&self) -> usize {
         self.entries.len() * 48
     }
-
-    /// Serialize to the 48-bit-per-entry wire format, packed into u64 words
-    /// (one entry per word; the high 16 bits are zero). This is what rides
-    /// the SCA⁻¹ when CPs are "delivered, along with operational code to the
-    /// processor ... interleaved with data delivery" (§IV).
-    pub fn encode_words(&self) -> Vec<u64> {
-        self.entries
-            .iter()
-            .map(|e| {
-                assert!(e.start < (1 << 32), "start slot exceeds 32-bit field");
-                assert!(e.len < (1 << 15), "run length exceeds 15-bit field");
-                let action = match e.action {
-                    CpAction::Drive => 0u64,
-                    CpAction::Listen => 1u64,
-                };
-                (action << 47) | (e.start << 15) | e.len
-            })
-            .collect()
-    }
-
-    /// Deserialize from [`Self::encode_words`] output.
-    pub fn decode_words(words: &[u64]) -> Result<Self, CpError> {
-        let entries = words
-            .iter()
-            .map(|&w| CpEntry {
-                start: (w >> 15) & 0xFFFF_FFFF,
-                len: w & 0x7FFF,
-                action: if (w >> 47) & 1 == 1 {
-                    CpAction::Listen
-                } else {
-                    CpAction::Drive
-                },
-            })
-            .collect();
-        CommProgram::new(entries)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CommProgram {
+        /// Total slots the program listens on.
+        pub(crate) fn slots_listened(&self) -> u64 {
+            self.action_slots(CpAction::Listen)
+        }
+    }
 
     fn cp(entries: &[(u64, u64, CpAction)]) -> CommProgram {
         CommProgram::new(
@@ -189,17 +143,6 @@ mod tests {
                 .collect(),
         )
         .unwrap()
-    }
-
-    #[test]
-    fn action_lookup() {
-        let p = cp(&[(2, 2, CpAction::Drive), (6, 3, CpAction::Listen)]);
-        assert_eq!(p.action_at(0), None);
-        assert_eq!(p.action_at(2), Some(CpAction::Drive));
-        assert_eq!(p.action_at(3), Some(CpAction::Drive));
-        assert_eq!(p.action_at(4), None);
-        assert_eq!(p.action_at(8), Some(CpAction::Listen));
-        assert_eq!(p.action_at(9), None);
     }
 
     #[test]
@@ -279,29 +222,9 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let p = cp(&[
-            (0, 1024, CpAction::Listen),
-            (90_000, 1024, CpAction::Drive),
-            (200_000, 1, CpAction::Drive),
-        ]);
-        let words = p.encode_words();
-        assert_eq!(words.len(), 3);
-        let back = CommProgram::decode_words(&words).unwrap();
-        assert_eq!(p, back);
-    }
-
-    #[test]
-    #[should_panic(expected = "15-bit field")]
-    fn encode_rejects_oversized_runs() {
-        let p = cp(&[(0, 1 << 15, CpAction::Drive)]);
-        p.encode_words();
-    }
-
-    #[test]
     fn empty_program() {
         let p = CommProgram::empty();
         assert_eq!(p.slots_driven(), 0);
-        assert_eq!(p.action_at(123), None);
+        assert!(p.entries().is_empty());
     }
 }

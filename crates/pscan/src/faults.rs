@@ -1,12 +1,10 @@
-//! Photonic fault model for the PSCAN: BER-derived word corruption, and the
-//! link-layer recovery protocol (CRC per gather + bounded retry).
+//! Photonic fault model for the PSCAN: per-word corruption at the terminus
+//! receiver, and the link-layer recovery protocol (CRC per gather + bounded
+//! retry).
 //!
-//! The physical chain is: thermal drift detunes the receive rings →
-//! residual detuning attenuates the dropped optical power → the receiver's
-//! BER rises ([`photonics::ber::ReceiverModel`]) → a 64-bit bus word is
-//! corrupted with probability `1 − (1 − BER)^bits`. Corruption is injected
-//! deterministically through a seeded [`FaultSite`], so every faulty run is
-//! exactly reproducible.
+//! Each received bus word is corrupted with the configured
+//! `word_error_rate`. Corruption is injected deterministically through a
+//! seeded [`FaultSite`], so every faulty run is exactly reproducible.
 //!
 //! Recovery: the terminus CRCs each coalesced burst against the CRC the
 //! communication programs committed to ([`crate::crc`]); a mismatch triggers
@@ -14,18 +12,13 @@
 //! `max_retries` — at which point the *protocol* layer (psync) must re-issue
 //! the SCA pass or surface the failure.
 
-use photonics::ber::ReceiverModel;
-use photonics::thermal::ThermalModel;
-use photonics::units::OpticalPower;
-use photonics::wdm::WavelengthPlan;
-use serde::Serialize;
 use sim_core::faults::{FaultSite, FaultStats};
 
 /// Stream index of the terminus-receiver fault site under the config seed.
 const STREAM_TERMINUS: u64 = 0;
 
 /// Fault-injection knobs for one PSCAN instance.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PscanFaultConfig {
     /// Experiment seed; all fault streams derive from it.
     pub seed: u64,
@@ -52,53 +45,6 @@ impl Default for PscanFaultConfig {
 }
 
 impl PscanFaultConfig {
-    /// Derive the word error rate from receiver physics: `rate_gbps` per-λ
-    /// modulation and an average received power give a BER, and a bus word
-    /// of `bits_per_slot` bits survives only if every bit does.
-    pub fn from_physics(
-        rx: &ReceiverModel,
-        received: OpticalPower,
-        plan: &WavelengthPlan,
-        seed: u64,
-    ) -> Self {
-        let ber = rx.ber(received, plan.rate_gbps_per_lambda);
-        let bits = plan.bits_per_slot() as f64;
-        // 1 − (1 − BER)^bits, computed stably for tiny BER.
-        let word_error_rate = -((1.0 - ber).ln() * bits).exp_m1();
-        PscanFaultConfig {
-            seed,
-            word_error_rate: word_error_rate.clamp(0.0, 1.0),
-            ..Default::default()
-        }
-    }
-
-    /// Derate the received power for uncompensated thermal drift before
-    /// deriving the word error rate.
-    ///
-    /// A ring detuned by `Δf` from its channel drops less power; for a
-    /// Lorentzian resonance of `linewidth_ghz` FWHM the penalty is
-    /// `10·log₁₀(1 + (2Δf/FWHM)²)` dB. `Δf` is the thermal drift of
-    /// `delta_t_k` kelvin times the *uncompensated* fraction
-    /// `(1 − compensation)` of the heater servo.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_thermal_physics(
-        rx: &ReceiverModel,
-        thermal: &ThermalModel,
-        received: OpticalPower,
-        linewidth_ghz: f64,
-        delta_t_k: f64,
-        compensation: f64,
-        plan: &WavelengthPlan,
-        seed: u64,
-    ) -> Self {
-        assert!(linewidth_ghz > 0.0);
-        assert!((0.0..=1.0).contains(&compensation));
-        let residual_ghz = thermal.drift_ghz_per_k * delta_t_k.abs() * (1.0 - compensation);
-        let penalty_db = 10.0 * (1.0 + (2.0 * residual_ghz / linewidth_ghz).powi(2)).log10();
-        let derated = OpticalPower::from_dbm(received.dbm() - penalty_db);
-        PscanFaultConfig::from_physics(rx, derated, plan, seed)
-    }
-
     /// Backoff before retry `attempt` (1-based), in bus slots: exponential,
     /// capped.
     pub fn backoff_slots(&self, attempt: u32) -> u64 {
@@ -223,30 +169,6 @@ impl From<crate::bus::BusError> for PscanError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn physics_rate_tracks_power() {
-        let rx = ReceiverModel::default();
-        let plan = WavelengthPlan::paper_320g();
-        let strong = PscanFaultConfig::from_physics(&rx, OpticalPower::from_dbm(-10.0), &plan, 1);
-        let weak = PscanFaultConfig::from_physics(&rx, OpticalPower::from_dbm(-26.0), &plan, 1);
-        assert!(strong.word_error_rate < 1e-12);
-        assert!(weak.word_error_rate > strong.word_error_rate);
-        assert!(weak.word_error_rate > 1e-6, "{}", weak.word_error_rate);
-    }
-
-    #[test]
-    fn thermal_drift_raises_the_rate() {
-        let rx = ReceiverModel::default();
-        let th = ThermalModel::default();
-        let plan = WavelengthPlan::paper_320g();
-        let p = OpticalPower::from_dbm(-19.0);
-        let cold = PscanFaultConfig::from_thermal_physics(&rx, &th, p, 20.0, 0.0, 0.0, &plan, 1);
-        let hot = PscanFaultConfig::from_thermal_physics(&rx, &th, p, 20.0, 2.0, 0.0, &plan, 1);
-        let servoed = PscanFaultConfig::from_thermal_physics(&rx, &th, p, 20.0, 2.0, 1.0, &plan, 1);
-        assert!(hot.word_error_rate > cold.word_error_rate);
-        assert_eq!(servoed.word_error_rate, cold.word_error_rate);
-    }
 
     #[test]
     fn backoff_is_exponential_and_capped() {

@@ -14,12 +14,10 @@
 //! assert_eq!(burst, vec![0, 10, 20, 30]);
 //! ```
 
-use photonics::energy::{EnergyBreakdown, PhotonicEnergyModel};
 use photonics::waveguide::ChipLayout;
 use photonics::wdm::WavelengthPlan;
 use std::cell::Cell;
 
-use serde::Serialize;
 use sim_core::cancel::Interrupt;
 use sim_core::invariant;
 use sim_core::telemetry::Registry;
@@ -31,7 +29,7 @@ use crate::crc::crc32_words_update;
 use crate::faults::{PscanError, PscanFaultConfig, PscanFaultState, ReliableGatherOutcome};
 
 /// Configuration of a PSCAN instance.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PscanConfig {
     /// Number of processor taps.
     pub nodes: usize,
@@ -65,11 +63,6 @@ impl PscanConfig {
         PscanConfig::default()
     }
 
-    /// The paper's Table III configuration: 1024 processors.
-    pub fn paper_1024() -> Self {
-        PscanConfig::paper_default().with_nodes(1024)
-    }
-
     /// Set the processor-tap count.
     #[must_use]
     pub fn with_nodes(mut self, nodes: usize) -> Self {
@@ -92,13 +85,12 @@ impl PscanConfig {
     }
 }
 
-/// A configured PSCAN: compiler + bus simulator + energy model, plus an
+/// A configured PSCAN: compiler + bus simulator, plus an
 /// optional fault layer (off by default; zero-cost when absent).
 #[derive(Debug, Clone)]
 pub struct Pscan {
     cfg: PscanConfig,
     bus: BusSim,
-    energy: PhotonicEnergyModel,
     faults: Option<PscanFaultState>,
     /// Telemetry registry; `None` (the default) leaves the transaction
     /// paths untouched. Transactions are placed back-to-back on a
@@ -140,14 +132,9 @@ impl Pscan {
     pub fn new(cfg: PscanConfig) -> Self {
         let layout = ChipLayout::square(cfg.die_mm, cfg.nodes);
         let bus = BusSim::new(layout, cfg.plan.clone());
-        let energy = PhotonicEnergyModel {
-            plan: cfg.plan.clone(),
-            ..Default::default()
-        };
         Pscan {
             cfg,
             bus,
-            energy,
             faults: None,
             telemetry: None,
             tel_cursor: Cell::new(0),
@@ -390,22 +377,6 @@ impl Pscan {
         }
         Ok(out)
     }
-
-    /// Number of bus cycles to move `bits` at full utilization — the PSCAN
-    /// side of Table III's arithmetic.
-    pub fn cycles_for_bits(&self, bits: u64) -> u64 {
-        self.cfg.plan.slots_for_bits(bits)
-    }
-
-    /// Energy breakdown per bit for SCA traffic on this configuration.
-    pub fn energy_per_bit(&self) -> EnergyBreakdown {
-        self.energy.sca_energy(self.bus.layout())
-    }
-
-    /// Total energy in joules for a transaction carrying `bits`.
-    pub fn transaction_energy_j(&self, bits: u64) -> f64 {
-        self.energy_per_bit().total_pj_per_bit() * 1e-12 * bits as f64
-    }
 }
 
 #[cfg(test)]
@@ -439,13 +410,6 @@ mod tests {
         let burst: Vec<u64> = (0..16).collect();
         let out = p.scatter(&spec, &burst).unwrap();
         assert_eq!(out.delivered[2], vec![8, 9, 10, 11]);
-    }
-
-    #[test]
-    fn cycles_for_bits_matches_plan() {
-        let p = Pscan::new(PscanConfig::default());
-        // 2048-bit row + 64-bit header over a 32-bit bus word = 66 slots.
-        assert_eq!(p.cycles_for_bits(2048 + 64), 66);
     }
 
     #[test]
@@ -573,14 +537,5 @@ mod tests {
             (out.attempts, out.corrupted_words, out.slots_on_bus, out.crc)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn energy_is_positive_and_finite() {
-        let p = Pscan::new(PscanConfig::paper_1024());
-        let e = p.energy_per_bit().total_pj_per_bit();
-        assert!(e.is_finite() && e > 0.0);
-        let j = p.transaction_energy_j(1 << 20);
-        assert!(j > 0.0);
     }
 }

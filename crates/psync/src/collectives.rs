@@ -91,7 +91,7 @@ impl ScaCollectiveResult {
 /// collectives treat it as one `words`-word block (its first `words`
 /// words). Encodes `(i, position)` injectively so delivery errors are
 /// visible in payload bytes.
-pub fn seed_words(i: usize, p: usize, words: usize, collective: Collective) -> Vec<u64> {
+pub(crate) fn seed_words(i: usize, p: usize, words: usize, collective: Collective) -> Vec<u64> {
     let len = match collective {
         Collective::AllToAll => p * words,
         Collective::AllGather | Collective::AllReduce => words,
@@ -100,7 +100,7 @@ pub fn seed_words(i: usize, p: usize, words: usize, collective: Collective) -> V
 }
 
 /// Run `collective` on `machine` with `words` payload words per node,
-/// seeding send buffers via [`seed_words`]. DRAM must hold `P²·words`
+/// seeding send buffers via `seed_words`. DRAM must hold `P²·words`
 /// words for all-to-all / all-gather and `P·words` for all-reduce.
 ///
 /// # Panics

@@ -10,13 +10,11 @@
 //! The numerical result is bit-faithful to a monolithic 2-D FFT up to the
 //! 64-bit wire format's f32 quantization.
 
+use crate::machine::{Machine, MachineConfig, PhaseTiming};
+use crate::sample::{decode_all, encode_sample};
 use fft::fft2d::Matrix;
 use memory::DramStats;
 use pscan::compiler::{GatherSpec, ScatterSpec};
-use serde::Serialize;
-
-use crate::machine::{Machine, MachineConfig, PhaseTiming};
-use crate::sample::{decode_all, encode_sample};
 
 /// Result of an end-to-end run.
 #[derive(Debug)]
@@ -49,21 +47,6 @@ pub mod phase_names {
     pub const COL_FFT: &str = "col_fft";
     /// Final writeback.
     pub const WRITEBACK: &str = "writeback";
-}
-
-/// Serializable phase summary (for the bench harness).
-#[derive(Debug, Clone, Serialize)]
-pub struct RunSummary {
-    /// Processors.
-    pub procs: usize,
-    /// Matrix edge.
-    pub n: usize,
-    /// Total seconds.
-    pub total_seconds: f64,
-    /// Transpose bus slots.
-    pub transpose_bus_slots: u64,
-    /// Compute fraction.
-    pub compute_fraction: f64,
 }
 
 /// Run the distributed 2-D FFT of an `n × n` matrix on `procs` processors

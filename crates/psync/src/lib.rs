@@ -37,17 +37,9 @@ pub mod model2;
 pub mod node;
 pub mod sample;
 
-pub use collectives::{run_sca_collective, ScaCollectiveResult};
+pub use collectives::run_sca_collective;
 pub use fft_app::{run_fft2d, Fft2dRun};
 pub use machine::{Machine, MachineConfig, MachineError, PhaseTiming};
-pub use model2::{run_model2_rows, Model2Run};
+pub use model2::run_model2_rows;
 pub use node::Node;
-pub use sample::{decode_sample, encode_sample};
-
-/// One-stop import for P-sync machine experiments:
-/// `use psync::prelude::*;`.
-pub mod prelude {
-    pub use crate::fft_app::run_fft2d;
-    pub use crate::machine::{Machine, MachineConfig, MachineError, PhaseTiming};
-    pub use pscan::compiler::{GatherSpec, ScatterSpec};
-}
+pub use sample::encode_sample;

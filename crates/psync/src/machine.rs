@@ -17,7 +17,6 @@ use photonics::wdm::WavelengthPlan;
 use pscan::compiler::{GatherSpec, ScatterSpec};
 use pscan::faults::{PscanError, PscanFaultConfig};
 use pscan::network::{Pscan, PscanConfig};
-use serde::Serialize;
 use sim_core::telemetry::Registry;
 
 use crate::head::HeadNode;
@@ -161,17 +160,10 @@ impl MachineConfig {
         self.dram = dram;
         self
     }
-
-    /// Replace the execution-unit timing.
-    #[must_use]
-    pub fn with_exec(mut self, exec: ExecParams) -> Self {
-        self.exec = exec;
-        self
-    }
 }
 
 /// Timing record of one executed phase.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PhaseTiming {
     /// Phase label.
     pub name: String,
@@ -291,8 +283,8 @@ impl Machine {
         Some(reg)
     }
 
-    /// Attach the photonic fault layer (BER-derived word corruption with
-    /// CRC/retry recovery) to the machine's PSCAN. Zero-rate configs leave
+    /// Attach the photonic fault layer (per-word corruption at the
+    /// configured rate, with CRC/retry recovery) to the machine's PSCAN. Zero-rate configs leave
     /// every timing bit-identical to an un-faulted machine.
     pub fn enable_faults(&mut self, cfg: PscanFaultConfig) {
         self.pscan.set_faults(cfg);
@@ -325,7 +317,7 @@ impl Machine {
     /// deliver per `spec`; each node's captured words are returned.
     /// Records a phase.
     ///
-    /// Asserting wrapper over [`Machine::try_scatter_from_memory`].
+    /// Asserting wrapper over `Machine::try_scatter_from_memory`.
     ///
     /// # Panics
     /// Panics on protocol failure; use the fallible path for a structured
@@ -342,7 +334,7 @@ impl Machine {
 
     /// Fallible [`Machine::scatter_from_memory`]: bus rejections surface as
     /// [`MachineError::Pscan`] instead of a panic.
-    pub fn try_scatter_from_memory(
+    pub(crate) fn try_scatter_from_memory(
         &mut self,
         name: &str,
         addrs: &[u64],

@@ -12,10 +12,9 @@
 //! its gather or scatter spec.
 
 use fft::{Complex64, Radix2Plan};
-use serde::Serialize;
 
 /// Execution-unit timing parameters.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ExecParams {
     /// Nanoseconds per floating-point multiply (paper: 2 ns).
     pub mult_ns: f64,
@@ -78,12 +77,6 @@ impl Node {
         self.compute_ns += t;
         t
     }
-
-    /// Drain the data memory for an SCA writeback (the waveguide interface
-    /// consumes it in CP order).
-    pub fn take_data(&mut self) -> Vec<Complex64> {
-        std::mem::take(&mut self.data)
-    }
 }
 
 #[cfg(test)]
@@ -119,15 +112,6 @@ mod tests {
         n.load_data(vec![Complex64::ONE; 8]);
         n.fft_rows(8);
         assert!((n.compute_ns - 2.0 * after_one).abs() < 1e-9);
-    }
-
-    #[test]
-    fn take_data_empties_memory() {
-        let mut n = Node::new(1, ExecParams::default());
-        n.load_data(vec![Complex64::ONE; 4]);
-        let d = n.take_data();
-        assert_eq!(d.len(), 4);
-        assert!(n.data.is_empty());
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub fn encode_sample(c: Complex64) -> u64 {
 }
 
 /// Unpack a 64-bit wire sample.
-pub fn decode_sample(w: u64) -> Complex64 {
+pub(crate) fn decode_sample(w: u64) -> Complex64 {
     let re = f32::from_bits((w >> 32) as u32) as f64;
     let im = f32::from_bits((w & 0xFFFF_FFFF) as u32) as f64;
     Complex64::new(re, im)

@@ -27,7 +27,7 @@
 //! watch and cycle-bound checks are a handful of relaxed atomic loads and
 //! integer compares per poll; the `Instant::now()` syscall behind the
 //! deadline check is throttled to once every
-//! [`Interrupt::DEADLINE_POLL_PERIOD`] polls (with one check on the very
+//! `Interrupt::DEADLINE_POLL_PERIOD` polls (with one check on the very
 //! first poll, so an already-expired deadline — e.g. `--timeout-s 0` —
 //! fires deterministically at the first poll site).
 //!
@@ -229,7 +229,7 @@ impl Interrupt {
     /// first poll always checks (countdown starts at zero), so an
     /// already-expired deadline fires deterministically at the first poll
     /// site regardless of host speed.
-    pub const DEADLINE_POLL_PERIOD: u32 = 1024;
+    pub(crate) const DEADLINE_POLL_PERIOD: u32 = 1024;
 
     /// An empty interrupt: fires on nothing until combinators add sources.
     pub fn new() -> Self {

@@ -6,10 +6,8 @@
 //! wire labels, and their phase names, so harnesses and the service layer
 //! can parse and compare results across fabrics without string drift.
 
-use serde::Serialize;
-
 /// A collective operation over the fabric's processing nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Collective {
     /// Personalized exchange: every node sends a distinct block to every
     /// other node (the 2D-FFT corner turn is the P-block special case).
@@ -39,12 +37,6 @@ impl Collective {
         }
     }
 
-    /// Parse a wire label back (case-sensitive, the exact [`Self::label`]
-    /// strings).
-    pub fn from_label(s: &str) -> Option<Self> {
-        Collective::ALL.into_iter().find(|c| c.label() == s)
-    }
-
     /// Telemetry phase-span name: `collective.<op>.<phase>`.
     pub fn phase_name(self, phase: &str) -> String {
         format!("collective.{}.{phase}", self.label())
@@ -54,15 +46,6 @@ impl Collective {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_roundtrip() {
-        for c in Collective::ALL {
-            assert_eq!(Collective::from_label(c.label()), Some(c));
-        }
-        assert_eq!(Collective::from_label("reduce"), None);
-        assert_eq!(Collective::from_label("AllToAll"), None);
-    }
 
     #[test]
     fn phase_names_are_namespaced() {

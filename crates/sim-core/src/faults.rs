@@ -19,12 +19,11 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::Serialize;
 
 use crate::rng::{child_seed, seeded};
 
 /// What goes wrong when a fault fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Flip one bit of a data word in flight.
     BitFlip {
@@ -41,7 +40,7 @@ pub enum FaultKind {
 }
 
 /// One scheduled fault: at tick `at`, site `site` suffers `kind`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Simulation tick (cycle or bus slot) the fault fires at.
     pub at: u64,
@@ -66,7 +65,7 @@ impl FaultSchedule {
     }
 
     /// Build a schedule from explicit events (sorted internally).
-    pub fn from_events(mut events: Vec<FaultEvent>) -> Self {
+    pub(crate) fn from_events(mut events: Vec<FaultEvent>) -> Self {
         events.sort_by_key(|e| (e.at, e.site));
         FaultSchedule { events, cursor: 0 }
     }
@@ -104,11 +103,6 @@ impl FaultSchedule {
         &self.events
     }
 
-    /// Remaining (unconsumed) event count.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.cursor
-    }
-
     /// Pop the next event with `at <= now`, if any.
     pub fn pop_due(&mut self, now: u64) -> Option<FaultEvent> {
         let e = *self.events.get(self.cursor)?;
@@ -118,11 +112,6 @@ impl FaultSchedule {
         } else {
             None
         }
-    }
-
-    /// Tick of the next unconsumed event, if any.
-    pub fn next_at(&self) -> Option<u64> {
-        self.events.get(self.cursor).map(|e| e.at)
     }
 }
 
@@ -200,11 +189,6 @@ impl FaultSite {
         self.rate
     }
 
-    /// Whether this site can ever fire.
-    pub fn is_active(&self) -> bool {
-        self.rate > 0.0
-    }
-
     /// One Bernoulli trial. At rate 0 this returns `false` without touching
     /// the RNG — the zero-fault bit-identity guarantee.
     pub fn fire(&mut self) -> bool {
@@ -227,7 +211,7 @@ impl FaultSite {
 }
 
 /// Counters every fault-aware component reports.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FaultStats {
     /// Faults injected into the component.
     pub injected: u64,
@@ -239,19 +223,16 @@ pub struct FaultStats {
     pub giveups: u64,
 }
 
-impl FaultStats {
-    /// Merge another component's counters into this one.
-    pub fn absorb(&mut self, other: &FaultStats) {
-        self.injected += other.injected;
-        self.detected += other.detected;
-        self.retries += other.retries;
-        self.giveups += other.giveups;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultSchedule {
+        /// Remaining (unconsumed) event count.
+        fn remaining(&self) -> usize {
+            self.events.len() - self.cursor
+        }
+    }
 
     #[test]
     fn zero_rate_schedule_is_empty() {
@@ -288,7 +269,6 @@ mod tests {
                 kind: FaultKind::LinkDown { cycles: 3 },
             },
         ]);
-        assert_eq!(s.next_at(), Some(2));
         assert!(s.pop_due(1).is_none());
         assert_eq!(s.pop_due(2).unwrap().at, 2);
         assert!(s.pop_due(4).is_none());
@@ -366,23 +346,5 @@ mod tests {
         let hits = (0..n).filter(|&t| hash_bernoulli(3, 11, t, 0.25)).count();
         let p = hits as f64 / n as f64;
         assert!((0.22..0.28).contains(&p), "empirical rate {p}");
-    }
-
-    #[test]
-    fn stats_absorb_sums() {
-        let mut a = FaultStats {
-            injected: 1,
-            detected: 2,
-            retries: 3,
-            giveups: 4,
-        };
-        a.absorb(&FaultStats {
-            injected: 10,
-            detected: 20,
-            retries: 30,
-            giveups: 40,
-        });
-        assert_eq!(a.injected, 11);
-        assert_eq!(a.giveups, 44);
     }
 }

@@ -46,17 +46,7 @@ pub mod time;
 
 pub use cancel::{CancelCause, CancelToken, CancelWatch, Deadline, Interrupt};
 pub use collective::Collective;
-pub use faults::{FaultEvent, FaultKind, FaultSchedule, FaultSite, FaultStats};
+pub use faults::{FaultSchedule, FaultSite, FaultStats};
 pub use stats::Histogram;
-pub use telemetry::{Registry, SeriesHistogram, TraceEvent};
+pub use telemetry::{Registry, SeriesHistogram};
 pub use time::{Duration, Time};
-
-/// Canonical public surface of `sim-core`, for glob import:
-/// `use sim_core::prelude::*;`.
-pub mod prelude {
-    pub use crate::cancel::{CancelCause, CancelToken, CancelWatch, Deadline, Interrupt};
-    pub use crate::faults::{FaultEvent, FaultKind, FaultSchedule, FaultSite, FaultStats};
-    pub use crate::stats::Histogram;
-    pub use crate::telemetry::{Registry, SeriesHistogram, TraceEvent};
-    pub use crate::time::{Duration, Time};
-}

@@ -4,13 +4,11 @@
 //! `emesh::mesh::Mesh::track_latency`); its `Debug` form is part of the
 //! pinned executor observables.
 
-use serde::Serialize;
-
 /// Fixed-bucket histogram of `u64` samples (e.g. latencies in cycles).
 ///
 /// Buckets are linear with a configurable width; samples beyond the last
 /// bucket are clamped into an overflow bucket so nothing is lost silently.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     bucket_width: u64,
     buckets: Vec<u64>,

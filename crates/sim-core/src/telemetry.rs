@@ -46,7 +46,7 @@ use serde::{Serialize, Value};
 
 /// One completed Chrome trace event (phase `"X"`: a span with a duration).
 #[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
+pub(crate) struct TraceEvent {
     /// Event name (the span label).
     pub name: String,
     /// Category: the fabric that emitted it (`emesh`, `pscan`, `psync`,
@@ -184,17 +184,12 @@ enum SeriesValue {
     Histogram(SeriesHistogram),
 }
 
-/// An entered-but-not-exited span: (name, enter ts, args).
-type OpenSpan = (String, f64, Vec<(String, String)>);
-
 #[derive(Debug, Clone, Default)]
 struct Inner {
     series: BTreeMap<String, SeriesValue>,
     events: Vec<TraceEvent>,
     /// Interned (process, track) → (pid, tid); insertion order defines ids.
     tracks: Vec<(String, String)>,
-    /// Open-span stacks, one per interned track.
-    open: Vec<Vec<OpenSpan>>,
 }
 
 impl Inner {
@@ -211,7 +206,6 @@ impl Inner {
             return (self.pid_of(&self.tracks[i].0), i as u32);
         }
         self.tracks.push((pid.clone(), track.to_string()));
-        self.open.push(Vec::new());
         (self.pid_of(&pid), (self.tracks.len() - 1) as u32)
     }
 
@@ -289,35 +283,12 @@ impl Registry {
     }
 
     /// Set gauge `name` with labels to `value`.
-    pub fn gauge_set_labeled(&self, name: &str, labels: &[(&str, String)], value: f64) {
+    pub(crate) fn gauge_set_labeled(&self, name: &str, labels: &[(&str, String)], value: f64) {
         let key = series_key(name, labels);
         self.inner
             .borrow_mut()
             .series
             .insert(key, SeriesValue::Gauge(value));
-    }
-
-    /// Record `sample` into histogram `name`.
-    pub fn histogram_record(&self, name: &str, sample: u64) {
-        self.histogram_record_labeled(name, &[], sample);
-    }
-
-    /// Record `sample` into histogram `name` with labels.
-    pub fn histogram_record_labeled(&self, name: &str, labels: &[(&str, String)], sample: u64) {
-        let key = series_key(name, labels);
-        let mut inner = self.inner.borrow_mut();
-        match inner
-            .series
-            .entry(key)
-            .or_insert_with(|| SeriesValue::Histogram(SeriesHistogram::default()))
-        {
-            SeriesValue::Histogram(h) => h.record(sample),
-            other => {
-                let mut h = SeriesHistogram::default();
-                h.record(sample);
-                *other = SeriesValue::Histogram(h);
-            }
-        }
     }
 
     /// Absorb a whole pre-built histogram as series `name` (end-of-run
@@ -362,49 +333,6 @@ impl Registry {
         });
     }
 
-    /// Open a nested span on `(process, track)` at `ts_us`. Close it with
-    /// [`Registry::span_exit`]; spans on one track nest strictly
-    /// (enter/exit must pair LIFO, as in a call stack).
-    pub fn span_enter(
-        &self,
-        process: &str,
-        track: &str,
-        name: &str,
-        ts_us: f64,
-        args: &[(&str, String)],
-    ) {
-        let mut inner = self.inner.borrow_mut();
-        let (_, tid) = inner.intern(process, track);
-        let frame = (
-            name.to_string(),
-            ts_us,
-            args.iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        );
-        inner.open[tid as usize].push(frame);
-    }
-
-    /// Close the innermost open span on `(process, track)` at `ts_us`.
-    /// Returns `false` (and records nothing) if no span is open there.
-    pub fn span_exit(&self, process: &str, track: &str, ts_us: f64) -> bool {
-        let mut inner = self.inner.borrow_mut();
-        let (pid, tid) = inner.intern(process, track);
-        let Some((name, start, args)) = inner.open[tid as usize].pop() else {
-            return false;
-        };
-        inner.events.push(TraceEvent {
-            name,
-            cat: process.to_string(),
-            pid,
-            tid,
-            ts_us: start,
-            dur_us: (ts_us - start).max(0.0),
-            args,
-        });
-        true
-    }
-
     /// Number of distinct named metric series.
     pub fn series_count(&self) -> usize {
         self.inner.borrow().series.len()
@@ -430,19 +358,6 @@ impl Registry {
             Some(SeriesValue::Gauge(g)) => Some(*g),
             _ => None,
         }
-    }
-
-    /// Snapshot of histogram series `key`, if it exists and is a histogram.
-    pub fn histogram_value(&self, key: &str) -> Option<SeriesHistogram> {
-        match self.inner.borrow().series.get(key) {
-            Some(SeriesValue::Histogram(h)) => Some(h.clone()),
-            _ => None,
-        }
-    }
-
-    /// All canonical series keys, sorted.
-    pub fn series_keys(&self) -> Vec<String> {
-        self.inner.borrow().series.keys().cloned().collect()
     }
 
     /// Absorb `other`'s series and spans into `self`. Counters add,
@@ -597,6 +512,16 @@ macro_rules! span {
 mod tests {
     use super::*;
 
+    impl Registry {
+        /// Snapshot of histogram series `key`, if it exists and is a histogram.
+        fn histogram_value(&self, key: &str) -> Option<SeriesHistogram> {
+            match self.inner.borrow().series.get(key) {
+                Some(SeriesValue::Histogram(h)) => Some(h.clone()),
+                _ => None,
+            }
+        }
+    }
+
     #[test]
     fn counters_accumulate_and_set_overwrites() {
         let r = Registry::new();
@@ -621,9 +546,11 @@ mod tests {
         let r = Registry::new();
         r.gauge_set("util", 0.75);
         assert_eq!(r.gauge_value("util"), Some(0.75));
+        let mut depth = SeriesHistogram::default();
         for s in [1u64, 2, 3, 100] {
-            r.histogram_record("depth", s);
+            depth.record(s);
         }
+        r.histogram_set_labeled("depth", &[], depth);
         let h = r.histogram_value("depth").unwrap();
         assert_eq!(h.count(), 4);
         assert_eq!(h.min(), Some(1));
@@ -667,27 +594,13 @@ mod tests {
     #[test]
     fn histogram_of_zeros() {
         let r = Registry::new();
-        r.histogram_record("z", 0);
-        r.histogram_record("z", 0);
+        let mut z = SeriesHistogram::default();
+        z.record(0);
+        z.record(0);
+        r.histogram_set_labeled("z", &[], z);
         let h = r.histogram_value("z").unwrap();
         assert_eq!((h.min(), h.max(), h.count()), (Some(0), Some(0), 2));
         assert_eq!(h.quantile(1.0), Some(0));
-    }
-
-    #[test]
-    fn span_nesting_pairs_lifo() {
-        let r = Registry::new();
-        r.span_enter("f", "t", "outer", 0.0, &[]);
-        r.span_enter("f", "t", "inner", 1.0, &[]);
-        assert!(r.span_exit("f", "t", 2.0));
-        assert!(r.span_exit("f", "t", 3.0));
-        assert!(!r.span_exit("f", "t", 4.0), "stack must be empty");
-        let trace = r.chrome_trace_json();
-        // inner closes first, so it precedes outer in the event list, and
-        // its interval [1, 2] nests inside outer's [0, 3].
-        let inner_at = trace.find("\"inner\"").unwrap();
-        let outer_at = trace.find("\"outer\"").unwrap();
-        assert!(inner_at < outer_at);
     }
 
     #[test]
@@ -712,7 +625,9 @@ mod tests {
         let r = Registry::new();
         r.counter_add("a", 1);
         r.gauge_set("b", 2.5);
-        r.histogram_record("c", 9);
+        let mut c = SeriesHistogram::default();
+        c.record(9);
+        r.histogram_set_labeled("c", &[], c);
         let m = r.metrics_json();
         assert!(m.contains("\"series\""));
         assert!(m.contains("\"a\": 1"));

@@ -6,16 +6,15 @@
 //! (400 ps). A `u64` picosecond counter covers > 200 days of simulated time,
 //! far beyond any experiment here, with exact integer arithmetic throughout.
 
-use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// An absolute point in simulated time, in picoseconds since simulation start.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(pub u64);
 
 /// A span of simulated time, in picoseconds.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(pub u64);
 
 impl Time {
@@ -40,12 +39,12 @@ impl Time {
     }
 
     /// Nanoseconds since simulation start (fractional).
-    pub fn as_ns_f64(self) -> f64 {
+    pub(crate) fn as_ns_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
     /// Microseconds since simulation start (fractional).
-    pub fn as_us_f64(self) -> f64 {
+    pub(crate) fn as_us_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
@@ -65,11 +64,6 @@ impl Time {
                 .expect("Time::since: earlier timestamp is in the future"),
         )
     }
-
-    /// Saturating difference; zero if `earlier` is later than `self`.
-    pub fn saturating_since(self, earlier: Time) -> Duration {
-        Duration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl Duration {
@@ -87,7 +81,7 @@ impl Duration {
     }
 
     /// Span from a fractional nanosecond count (rounded to the nearest ps).
-    pub fn from_ns_f64(ns: f64) -> Self {
+    pub(crate) fn from_ns_f64(ns: f64) -> Self {
         assert!(
             ns >= 0.0 && ns.is_finite(),
             "negative or non-finite duration"
@@ -110,7 +104,7 @@ impl Duration {
     }
 
     /// Fractional nanoseconds.
-    pub fn as_ns_f64(self) -> f64 {
+    pub(crate) fn as_ns_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
@@ -260,14 +254,6 @@ mod tests {
     #[should_panic(expected = "in the future")]
     fn since_panics_on_causality_violation() {
         let _ = Time::from_ps(1).since(Time::from_ps(2));
-    }
-
-    #[test]
-    fn saturating_since_clamps() {
-        assert_eq!(
-            Time::from_ps(1).saturating_since(Time::from_ps(2)),
-            Duration::ZERO
-        );
     }
 
     #[test]
